@@ -7,7 +7,7 @@ pool compiles, total CNOTs and the paper's geomeans.  Two runs of one seed
 must agree exactly; the other seed must change at least one count of every
 workload, which shows that each workload honours ``--seed``::
 
-    python3 perfbench/determinism.py --seed 11 --other-seed 12 --seconds 4
+    python3 perfbench/determinism.py --seed 11 --other-seed 12
 
 Exits non-zero when a count differs between the two runs of one seed, or a
 workload ignores its seed.
@@ -22,17 +22,20 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+#: ``--seconds`` of each run; the counts come from the traced round, which
+#: every run has however short it is.
+SECONDS = 4
 LAYER_COUNTS = ("compiler.calls", "sim.shots", "service.cache.hits",
                 "service.cache.misses", "service.pool_compiles")
 OUTPUT_COUNTS = ("cnots_total", "geomean_cnot_reduction", "geomean_success_ratio",
                  "toffoli_success_improvement")
 
 
-def counts(workload: str, seed: int, seconds: float, size: str) -> dict:
+def counts(workload: str, seed: int) -> dict:
     """Run one traced benchmark and pick its deterministic counts."""
     done = subprocess.run(
         [sys.executable, str(HERE / "run.py"), "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "1", "--size", size],
+         "--seconds", str(SECONDS), "--trace", "1", "--size", "full"],
         capture_output=True, text=True, check=False,
     )
     if done.returncode != 0:
@@ -52,15 +55,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--other-seed", type=int, default=12)
-    parser.add_argument("--seconds", type=float, default=4)
-    parser.add_argument("--size", choices=("full", "tiny"), default="full")
     args = parser.parse_args(argv)
     spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
     status = 0
     for workload in (w["name"] for w in spec["workloads"]):
-        first = counts(workload, args.seed, args.seconds, args.size)
-        second = counts(workload, args.seed, args.seconds, args.size)
-        other = counts(workload, args.other_seed, args.seconds, args.size)
+        first = counts(workload, args.seed)
+        second = counts(workload, args.seed)
+        other = counts(workload, args.other_seed)
         differing = sorted(name for name in first if first[name] != second[name])
         moved = sorted(name for name in first if first[name] != other[name])
         print(f"{workload}: {len(first)} counts; seed {args.seed} twice: "

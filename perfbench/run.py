@@ -12,14 +12,18 @@ tracer, and leaves BLAS threading as users get it (it is recorded).
 
 Each run has three phases:
 
-* **set-up** (``setup_s``): a fresh import of the ``repro`` modules, timed
-  three times with the median kept, plus the workload's untimed warm-up
+* **set-up** (``setup_s``): the median of three imports of the ``repro``
+  modules, each in a fresh interpreter, plus the workload's untimed warm-up
   round (and, for the service, the cold pre-warm of its cache);
-* **timed rounds** for ``--seconds`` seconds; they give the end-to-end
-  metrics.  With ``--trace 1`` they run for half the time and are followed
-  by one round with the layer shims of :mod:`tracing` installed, on the
-  inputs of the first round; the output is then the per-layer metrics of
-  that traced round;
+* **timed rounds**: whole cycles of the workload's rounds (every cycle on
+  the same inputs) while another cycle fits in ``--seconds`` seconds, and
+  at least one; they give the end-to-end metrics.  Throughput and CPU per
+  op are medians over the rounds, so one heavy draw of inputs or one burst
+  of load on the host moves them little; latency is over every op.  With
+  ``--trace 1`` the rounds run for half the time and are followed by one
+  round with the layer shims of :mod:`tracing` installed, on the inputs of
+  the first round; the output is then the per-layer metrics of that traced
+  round;
 * **checks**, outside the timed region: every output of the last round is
   verified (see ``check`` of each workload), and every round, warm-up
   included, must reproduce the warm-up's results exactly.
@@ -34,7 +38,6 @@ for a traced run, every span are written under ``perfbench/out/``.
 from __future__ import annotations
 
 import argparse
-import importlib
 import importlib.util
 import json
 import os
@@ -59,7 +62,6 @@ IMPORTED = ("repro.experiments.benchmarks", "repro.experiments.toffoli", "repro.
 #: toffoli_fig8 follow its few widest triplets, and failures and mismatches
 #: are 0 (they set ``correct``, ``failed`` and the exit code instead).
 PRINTED_UNITS = {
-    "latency_p98_ms": "ms",
     "latency_p99_ms": "ms",
     "peak_rss_mb": "MB",
     "toffoli_success_improvement": "ratio",
@@ -83,9 +85,8 @@ FEEDS = (
     ("service.cache.get_s", "latency_p50_ms on service_warm_stream"),
     ("service.cache.hit", "latency_p50_ms on service_warm_stream"),
     ("service.cache.", "ops_per_s on fig9_11_sweep (every op is a put)"),
-    ("service.", "ops_per_s and latency_p98_ms (the miss path) on service_warm_stream"),
-    ("runtime.", "ops_per_s and latency_p98_ms on service_warm_stream, ops_per_s on "
-                 "toffoli_fig8"),
+    ("service.", "latency_p99_ms (the miss path) on service_warm_stream"),
+    ("runtime.", "latency_p99_ms on service_warm_stream, ops_per_s on toffoli_fig8"),
     ("experiments.unattributed_s", "every time metric: dark time, in no layer span"),
     ("trace_overhead_ratio", "none: the cost of the traced run itself"),
 )
@@ -105,26 +106,26 @@ def load_file(name: str, path: Path):
 
 
 def time_imports(repeats: int = 3) -> float:
-    """Median time of a fresh import of the modules the workloads use."""
+    """Median time a fresh interpreter takes to import the modules the
+    workloads use, as a user's process pays it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    command = [sys.executable, "-c", "; ".join(f"import {m}" for m in IMPORTED)]
     samples = []
     for _ in range(repeats):
-        for name in [m for m in sys.modules if m == "repro" or m.startswith("repro.")]:
-            del sys.modules[name]
         start = time.perf_counter()
-        for module in IMPORTED:
-            importlib.import_module(module)
+        subprocess.run(command, env=env, check=True)
         samples.append(time.perf_counter() - start)
     return statistics.median(samples)
 
 
 def run_rounds(workload, seconds: float) -> list:
-    """Untraced rounds 0, 1, ... while another one fits in ``seconds`` of
-    timed work (checks between rounds are not timed)."""
+    """Untraced whole cycles of rounds while another cycle fits in
+    ``seconds`` of timed work (checks between rounds are not timed)."""
     rounds = []
     while True:
-        rounds.append(workload.run_round(None, len(rounds)))
-        timed = sum(r.wall for r in rounds)
-        if timed * (len(rounds) + 1) / len(rounds) > seconds:
+        rounds += [workload.run_round(None, index) for index in range(workload.cycle)]
+        cycles = len(rounds) // workload.cycle
+        if sum(r.wall for r in rounds) * (cycles + 1) / cycles > seconds:
             return rounds
 
 
@@ -166,10 +167,11 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(HERE))
 
     import_s = time_imports()
-    setup_start = time.perf_counter()
+    # The same imports again in this process, already counted in import_s.
     import tracing
     import workloads
 
+    setup_start = time.perf_counter()
     freeze = load_file("freeze_fig9_10_reference",
                        ROOT / "benchmarks" / "freeze_fig9_10_reference.py")
     reference = json.loads(
@@ -187,11 +189,8 @@ def main(argv=None) -> int:
         # its counts are those of a fixed input and its time compares with
         # that round's.
         tracer = tracing.Tracer()
-        patches = tracing.install(tracer)
-        try:
+        with tracing.install(tracer):
             traced = [workload.run_round(tracer, 0)]
-        finally:
-            patches.undo()
 
     problems = workload.check()
     first_of_seed = {workload.warmup.seed: workload.warmup}
@@ -203,15 +202,13 @@ def main(argv=None) -> int:
     timed = untraced + traced
     attempted = sum(r.ops for r in timed)
     failed = sum(r.failed for r in timed)
-    ops = sum(r.ops for r in untraced)
     latencies = [value for r in untraced for value in r.latencies]
     outputs = dict(untraced[0].outputs, **workload.extra_outputs())
     end_to_end = {
-        "ops_per_s": ops / sum(r.wall for r in untraced),
+        "ops_per_s": statistics.median([r.ops / r.wall for r in untraced]),
         "latency_p50_ms": statistics.median(latencies) * 1000.0,
-        "latency_p98_ms": tracing.percentile(latencies, 98) * 1000.0,
         "latency_p99_ms": tracing.percentile(latencies, 99) * 1000.0,
-        "cpu_ms_per_op": sum(r.cpu for r in untraced) * 1000.0 / ops,
+        "cpu_ms_per_op": statistics.median([r.cpu / r.ops for r in untraced]) * 1000.0,
         "setup_s": setup_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         **outputs,

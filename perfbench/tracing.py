@@ -5,9 +5,9 @@ so the per-layer numbers come from this module instead: :func:`install`
 wraps the public entry point of each layer *where the callers look it up*
 (a module that did ``from x import f`` holds its own reference, so both
 names are patched), records one :class:`Span` per call in memory, and
-:meth:`Patches.undo` puts every original back.  The tracer records only
-while a round is open (:attr:`Tracer.active`), so untimed work between
-rounds leaves no spans.  Nothing under ``src/`` changes.
+closing the :class:`contextlib.ExitStack` it returns puts every original
+back.  The tracer records only while a round is open
+(:attr:`Tracer.active`), so untimed work between rounds leaves no spans.  Nothing under ``src/`` changes.
 
 Parents are tracked per asyncio task and per thread through a
 :class:`contextvars.ContextVar`, so interleaved service requests nest
@@ -23,6 +23,7 @@ the self times of all spans add up to the round's duration.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import itertools
@@ -30,6 +31,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
+from unittest import mock
 
 
 @dataclass
@@ -118,22 +120,6 @@ def _wrap(tracer: Tracer, layer: str, name: str, fn: Callable,
     return traced
 
 
-class Patches:
-    """Attribute replacements that can be undone in reverse order."""
-
-    def __init__(self) -> None:
-        self._saved: List[Tuple[Any, str, Any]] = []
-
-    def set(self, owner: Any, attr: str, value: Any) -> None:
-        self._saved.append((owner, attr, owner.__dict__[attr]))
-        setattr(owner, attr, value)
-
-    def undo(self) -> None:
-        while self._saved:
-            owner, attr, value = self._saved.pop()
-            setattr(owner, attr, value)
-
-
 def op_clock(durations: List[float], tracer: Optional[Tracer], fn: Callable) -> Callable:
     """Time each call of a driver's cell function as one op.
 
@@ -155,8 +141,11 @@ def op_clock(durations: List[float], tracer: Optional[Tracer], fn: Callable) -> 
     return timed
 
 
-def install(tracer: Tracer) -> Patches:
-    """Wrap every layer entry point the workloads reach; see module docs."""
+def install(tracer: Tracer) -> contextlib.ExitStack:
+    """Wrap every layer entry point the workloads reach; see module docs.
+
+    Closing the returned stack undoes every patch, in reverse order.
+    """
     from repro.bench_circuits import suite
     from repro.compiler.result import CompilationResult
     from repro.experiments import benchmarks as sweep_driver
@@ -168,20 +157,23 @@ def install(tracer: Tracer) -> Patches:
     from repro.service.service import CompileService
     import repro.sim
 
-    patches = Patches()
+    stack = contextlib.ExitStack()
+
+    def patch(owner: Any, attr: str, value: Any) -> None:
+        stack.enter_context(mock.patch.object(owner, attr, value))
 
     build = _wrap(tracer, "bench_circuits", "bench_circuits.get_benchmark",
                   suite.get_benchmark)
-    patches.set(suite, "get_benchmark", build)
-    patches.set(sweep_driver, "get_benchmark", build)
+    patch(suite, "get_benchmark", build)
+    patch(sweep_driver, "get_benchmark", build)
 
-    patches.set(jobs, "to_qasm", _wrap(tracer, "circuits", "circuits.to_qasm", jobs.to_qasm))
-    patches.set(jobs, "from_qasm",
+    patch(jobs, "to_qasm", _wrap(tracer, "circuits", "circuits.to_qasm", jobs.to_qasm))
+    patch(jobs, "from_qasm",
                 _wrap(tracer, "circuits", "circuits.from_qasm", jobs.from_qasm))
 
     for attr in ("from_circuit", "from_qasm"):
         original = jobs.CompileJob.__dict__[attr].__func__
-        patches.set(jobs.CompileJob, attr, classmethod(
+        patch(jobs.CompileJob, attr, classmethod(
             _wrap(tracer, "service", "service.jobs.key", original)))
 
     def on_transpile(span, args, kwargs, result):
@@ -197,11 +189,11 @@ def install(tracer: Tracer) -> Patches:
             )
             start += record.duration
 
-    patches.set(jobs, "transpile",
+    patch(jobs, "transpile",
                 _wrap(tracer, "compiler", "compiler.transpile", jobs.transpile,
                       after=on_transpile))
 
-    patches.set(CompilationResult, "success_probability",
+    patch(CompilationResult, "success_probability",
                 _wrap(tracer, "sim", "sim.estimator",
                       CompilationResult.success_probability))
 
@@ -222,14 +214,14 @@ def install(tracer: Tracer) -> Patches:
         return make
 
     for module in (repro.sim, sweep_driver, toffoli_driver):
-        patches.set(module, "get_backend", traced_backend(module.get_backend))
+        patch(module, "get_backend", traced_backend(module.get_backend))
 
     def note_records(span, args, kwargs, records):
         span.attrs["cells"] = len(records)
         span.attrs["attempts"] = sum(r.attempts for r in records)
         span.attrs["failed"] = sum(1 for r in records if not r.ok)
 
-    patches.set(CellRunner, "run",
+    patch(CellRunner, "run",
                 _wrap(tracer, "runtime", "runtime.run", CellRunner.run,
                       after=note_records))
 
@@ -254,11 +246,11 @@ def install(tracer: Tracer) -> Patches:
         return dispatch
 
     for attr in ("get", "put", "stats"):
-        patches.set(ShardedLRUCache, attr, cache_method(attr))
+        patch(ShardedLRUCache, attr, cache_method(attr))
 
     # The service's runner cell; only its in-process runs leave spans (a
     # pool worker records into its own copy of the tracer, which is lost).
-    patches.set(service_module, "_compile_cell",
+    patch(service_module, "_compile_cell",
                 _wrap(tracer, "service", "service.compile_cell",
                       service_module._compile_cell))
 
@@ -276,11 +268,11 @@ def install(tracer: Tracer) -> Patches:
         finally:
             tracer.finish(span, token)
 
-    patches.set(CompileService, "compile", traced_compile)
-    patches.set(CompileService, "stats_json",
+    patch(CompileService, "compile", traced_compile)
+    patch(CompileService, "stats_json",
                 _wrap(tracer, "service", "service.stats",
                       CompileService.stats_json))
-    return patches
+    return stack
 
 
 # ----------------------------------------------------------------------

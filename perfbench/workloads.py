@@ -36,6 +36,7 @@ import resource
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+from unittest import mock
 
 from repro.bench_circuits.suite import PAPER_BENCHMARKS, TOFFOLI_BENCHMARKS, get_benchmark
 from repro.circuits.qasm import from_qasm, to_qasm
@@ -61,7 +62,7 @@ from repro.service import CompileRequest, CompileService, ShardedLRUCache
 from repro.service.jobs import CompileJob, execute_compile_job
 from repro.sim import estimate_success
 
-from tracing import Patches, Tracer, op_clock
+from tracing import Tracer, op_clock
 
 #: The paper's routing seed; only this seed has frozen reference hashes.
 PAPER_SEED = 11
@@ -156,10 +157,12 @@ def check_compiled(cells: Dict[str, Tuple[Any, CompilationResult]],
 
 
 def round_seed(seed: int, index: int) -> int:
-    """The input seed of round ``index``: the workload seed for round 0.
+    """The input seed of round ``index`` of a cycle: the workload seed for round 0.
 
-    Later rounds draw fresh inputs, so a run averages over several draws of
-    the seed-dependent work instead of repeating one draw.
+    The other rounds of a workload's cycle draw fresh inputs, so a run
+    averages over several draws of the seed-dependent work instead of
+    repeating one draw.  A run times whole cycles only, so how fast the
+    program goes never changes which inputs it is timed on.
     """
     return seed + 100_000 * index
 
@@ -167,11 +170,13 @@ def round_seed(seed: int, index: int) -> int:
 class Sweep:
     """``fig9_11_sweep``: the Figures 9-11 analytic sweep, cold cache each round.
 
-    Round ``r`` routes with :func:`round_seed`; round 0 uses the workload seed
-    itself, so seed 11 reproduces the paper and is held to its frozen hashes.
+    Round ``r`` of a cycle of three routes with :func:`round_seed`; round 0
+    uses the workload seed itself, so seed 11 reproduces the paper and is
+    held to its frozen hashes.
     """
 
     name = "fig9_11_sweep"
+    cycle = 3
 
     def __init__(self, seed: int, tiny: bool, reference, canonical_bytes):
         self.seed = seed
@@ -193,16 +198,13 @@ class Sweep:
         clear_compile_cache()
         before = compile_cache_stats()
         latencies: List[float] = []
-        patches = Patches()
-        patches.set(sweep_driver, "_benchmark_cell",
-                    op_clock(latencies, tracer, sweep_driver._benchmark_cell))
-        try:
-            with RoundClock(tracer) as clock:
-                result = run_benchmark_experiment(
-                    topologies=self.topologies, benchmarks=self.benchmarks, seed=seed)
-                after = compile_cache_stats()
-        finally:
-            patches.undo()
+        clock_cells = mock.patch.object(
+            sweep_driver, "_benchmark_cell",
+            op_clock(latencies, tracer, sweep_driver._benchmark_cell))
+        with clock_cells, RoundClock(tracer) as clock:
+            result = run_benchmark_experiment(
+                topologies=self.topologies, benchmarks=self.benchmarks, seed=seed)
+            after = compile_cache_stats()
         if seed not in self.checked:
             self.checked.add(seed)
             self.problems += check_compiled(
@@ -280,15 +282,16 @@ def stratified_triplets(coupling_map, count: int, seed: int) -> List[Tuple[int, 
 class Toffoli:
     """``toffoli_fig8``: the Figure 8 triplet experiment with the failure sampler.
 
-    Round ``r`` is one experiment on its own 99 triplets, drawn from
-    :func:`round_seed` (round 0 uses the workload seed).  A few
+    Round ``r`` of a cycle of six is one experiment on its own 99 triplets,
+    drawn from :func:`round_seed` (round 0 uses the workload seed).  A few
     triplets route the baseline across most of the chip, and the sampler's
     cost grows exponentially with the active qubits, so one set of 99
-    triplets is a heavy-tailed sample of the experiment's cost; fresh
-    triplets every round average that tail over the run.
+    triplets is a heavy-tailed sample of the experiment's cost; six sets
+    average that tail over the run.
     """
 
     name = "toffoli_fig8"
+    cycle = 6
 
     def __init__(self, seed: int, tiny: bool, reference=None, canonical_bytes=None):
         self.seed = seed
@@ -306,17 +309,14 @@ class Toffoli:
         clear_compile_cache()
         before = compile_cache_stats()
         latencies: List[float] = []
-        patches = Patches()
-        patches.set(toffoli_driver, "_toffoli_cell",
-                    op_clock(latencies, tracer, toffoli_driver._toffoli_cell))
-        try:
-            with RoundClock(tracer) as clock:
-                result = run_toffoli_experiment(
-                    coupling_map=self.coupling_map, triplets=triplets,
-                    shots=self.shots, seed=seed, sampler="failure")
-                after = compile_cache_stats()
-        finally:
-            patches.undo()
+        clock_cells = mock.patch.object(
+            toffoli_driver, "_toffoli_cell",
+            op_clock(latencies, tracer, toffoli_driver._toffoli_cell))
+        with clock_cells, RoundClock(tracer) as clock:
+            result = run_toffoli_experiment(
+                coupling_map=self.coupling_map, triplets=triplets,
+                shots=self.shots, seed=seed, sampler="failure")
+            after = compile_cache_stats()
         self.problems += self.off_coupling_map(triplets, seed)
         per_cell = len(CONFIGURATIONS)
         improvement = result.geomean_improvement()
@@ -373,9 +373,13 @@ class _Key:
 
 
 class ServiceStream:
-    """``service_warm_stream``: a warm compile service under two lockstep clients."""
+    """``service_warm_stream``: a warm compile service under two lockstep clients.
+
+    Every round sends the same stream, so a cycle is one round.
+    """
 
     name = "service_warm_stream"
+    cycle = 1
 
     def __init__(self, seed: int, tiny: bool, reference=None, canonical_bytes=None):
         self.seed = seed
