@@ -2,10 +2,10 @@
 
 CI's service job runs this script.  It starts the CLI server as a subprocess,
 drives a small mixed stream over HTTP — a cold unique mix, a warm repeat, a
-burst of duplicates, one malformed request — then checks ``/stats`` agrees
-with what the stream implies (hits observed, coalescing + caching held the
-pool compiles to at most one per unique key, the bad request was a 400 not a
-casualty), asks for ``/shutdown``, and requires a clean exit code.
+burst of duplicates, malformed requests and one with an invalid option value
+— then checks ``/stats`` agrees with what the stream implies (hits observed,
+coalescing + caching held the pool compiles to at most one per unique key,
+every bad request was a 400 not a casualty and never reached the pool), asks for ``/shutdown``, and requires a clean exit code.
 
 Run locally with::
 
@@ -84,6 +84,11 @@ def main() -> int:
         status, body = client.compile(
             requests[0][0], "line-20", "baseline", {"bogus": 1})
         assert status == 400, (status, body)
+        # An invalid option value is rejected before dispatch, not compiled.
+        status, body = client.compile(
+            requests[0][0], "line-20", "baseline",
+            {"seed": SEED, "routing": "nope"})
+        assert status == 400 and body["error"] == "bad_request", (status, body)
         print("[smoke] malformed requests rejected with 400")
 
         status, stats = client.stats()
@@ -93,7 +98,7 @@ def main() -> int:
         assert service_stats["misses"] == unique, service_stats
         assert service_stats["hits"] == unique + 6, service_stats
         assert service_stats["pool_compiles"] <= unique, service_stats
-        assert service_stats["errors"] == 2, service_stats
+        assert service_stats["errors"] == 3, service_stats
         assert stats["cache"]["hits"] == unique + 6, stats["cache"]
         assert stats["cache"]["entries"] == unique, stats["cache"]
         print(f"[smoke] stats consistent: {service_stats}")

@@ -24,6 +24,11 @@ from ..exceptions import GateError
 # Names of operations that are not unitary gates.
 NON_UNITARY_NAMES = frozenset({"measure", "reset", "barrier"})
 
+#: Absolute tolerance of :meth:`Gate.is_identity`.  The comparison is purely
+#: absolute (``rtol=0``): numpy's default relative term would let rotations
+#: as large as ~1e-5 rad pass as the identity.
+IDENTITY_TOL = 1e-12
+
 # Self-inverse gates (used by the cancellation pass).
 SELF_INVERSE_NAMES = frozenset(
     {"id", "x", "y", "z", "h", "cx", "cz", "cy", "ch", "swap", "ccx", "ccz", "cswap"}
@@ -132,7 +137,7 @@ class Gate:
             return Gate("u3", 1, (-theta, -lam, -phi))
         raise GateError(f"no inverse rule for gate {self.name!r}")
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
+    def is_identity(self, tol: float = IDENTITY_TOL) -> bool:
         """Whether the gate is (numerically) the identity operation."""
         if not self.is_unitary:
             return False
@@ -142,7 +147,7 @@ class Gate:
         phase = mat[0, 0]
         if abs(phase) < tol:
             return False
-        return bool(np.allclose(mat / phase, np.eye(dim), atol=tol))
+        return bool(np.allclose(mat / phase, np.eye(dim), rtol=0.0, atol=tol))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.params:

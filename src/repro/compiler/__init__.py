@@ -4,6 +4,7 @@ from .pipeline import (
     DEFAULT_SEED_TRIALS,
     PIPELINES,
     STAGE_BUILDERS,
+    TranspileOptions,
     build_pass_manager,
     compile_baseline,
     compile_trios,
@@ -16,6 +17,7 @@ __all__ = [
     "DEFAULT_SEED_TRIALS",
     "PIPELINES",
     "STAGE_BUILDERS",
+    "TranspileOptions",
     "build_pass_manager",
     "Target",
     "compile_baseline",

@@ -11,23 +11,32 @@ IR (:data:`PIPELINES`):
   mapping-aware second decomposition, legalise, then the same light
   optimisation.
 
-Each stage name maps to a builder (:data:`STAGE_BUILDERS`) that instantiates
-the stage's passes for a given :class:`~repro.hardware.target.Target` and
-option set, so new pipelines are a new name list away.  The optimisation stage
-wraps the clean-up passes in a :class:`~repro.passes.base.FixedPoint` loop
-that iterates cancellation/consolidation to convergence.
+The options of a compile — the paper's ablations are settings of
+``toffoli_mode`` and ``second_decomposition``, its routing is
+``overlap_optimization`` plus ``seed`` — are resolved and checked once into a
+frozen :class:`TranspileOptions`.  It is the single source of every default
+and every option check: :func:`transpile` consumes it, the level-3 seed
+search ships it to its workers, and the compile service hashes its canonical
+form into the job key (:mod:`repro.service.jobs`).
 
-:func:`compile_baseline` and :func:`compile_trios` remain as thin shims over
-:func:`transpile` for the experiment harnesses and historical callers; their
-outputs are byte-identical to the pre-DAG pipelines (the equivalence tests
-pin this against frozen hashes).
+Each stage name maps to a builder (:data:`STAGE_BUILDERS`) that instantiates
+the stage's passes from the :class:`~repro.hardware.target.Target` and the
+resolved options, so new pipelines are a new name list away.  The
+optimisation stage wraps the clean-up passes in a
+:class:`~repro.passes.base.FixedPoint` loop that iterates
+cancellation/consolidation to convergence.
+
+:func:`compile_baseline` and :func:`compile_trios` remain as thin wrappers
+over :func:`transpile` for the experiment harnesses; their outputs are
+byte-identical to the pre-DAG pipelines (the equivalence tests pin this
+against frozen hashes).
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Tuple, Union
 
 from .. import obs
 from ..analysis.contracts import resolve_validation_mode
@@ -61,16 +70,13 @@ from .result import CompilationResult, check_connectivity
 LayoutSpec = Union[str, Layout, Mapping[int, int]]
 
 
-def _layout_pass(
-    layout: LayoutSpec,
-    coupling_map: CouplingMap,
-    calibration: Optional[DeviceCalibration],
-) -> BasePass:
-    """Build the placement pass from a layout specification.
+def _layout_pass(layout: LayoutSpec, target: Target) -> BasePass:
+    """Build the placement pass for a layout specification.
 
-    ``layout`` may be ``"trivial"``, ``"greedy"``, ``"noise"``, an explicit
-    :class:`Layout`, or a logical→physical mapping dict.
+    ``layout`` is one of :data:`LAYOUT_NAMES`, an explicit :class:`Layout`, or
+    a logical→physical mapping dict (:class:`TranspileOptions` checks it).
     """
+    coupling_map = target.coupling_map
     if isinstance(layout, Layout):
         return FixedLayoutPass(coupling_map, layout.to_dict())
     if isinstance(layout, Mapping):
@@ -79,32 +85,21 @@ def _layout_pass(
         return TrivialLayoutPass(coupling_map)
     if layout == "greedy":
         return GreedyInteractionLayoutPass(coupling_map)
-    if layout == "noise":
-        if calibration is None:
-            raise TranspilerError("noise-aware layout requires a calibration")
-        return NoiseAwareLayoutPass(coupling_map, calibration)
-    raise TranspilerError(f"unknown layout specification {layout!r}")
+    if target.calibration is None:
+        raise TranspilerError("noise-aware layout requires a calibration")
+    return NoiseAwareLayoutPass(coupling_map, target.calibration)
+
+
+def _edge_weights(
+    target: Target, options: TranspileOptions
+) -> Optional[Dict[Tuple[int, int], float]]:
+    """Routing edge weights: ``-log`` CNOT success when ``noise_aware``."""
+    return target.noise_edge_weights() if options.noise_aware else None
 
 
 # ----------------------------------------------------------------------
 # Stage builders
 # ----------------------------------------------------------------------
-@dataclass
-class _TranspileContext:
-    """Everything a stage builder may need, resolved once per transpile call."""
-
-    target: Target
-    layout: LayoutSpec
-    optimization_level: int
-    seed: Optional[int]
-    routing: str
-    toffoli_mode: str
-    second_decomposition: str
-    overlap_optimization: bool
-    edge_weights: Optional[Mapping[Tuple[int, int], float]]
-    validate_mode: Union[None, bool, str] = None
-
-
 def _cleanup_loop() -> FixedPoint:
     """The convergent light-optimisation loop shared by every pipeline."""
     return FixedPoint(
@@ -135,113 +130,117 @@ def _commutation_loop() -> FixedPoint:
     )
 
 
-def _stage_unroll(ctx: _TranspileContext) -> Stage:
+def _stage_unroll(target: Target, options: TranspileOptions) -> Stage:
+    assert options.toffoli_mode is not None  # resolved for pipelines with "unroll"
     return Stage(
         "decompose",
         [
             DecomposeToBasisPass(
-                basis=ctx.target.basis_gates, keep=(), toffoli_mode=ctx.toffoli_mode
+                basis=target.basis_gates, keep=(), toffoli_mode=options.toffoli_mode
             )
         ],
     )
 
 
-def _stage_unroll_keep_toffoli(ctx: _TranspileContext) -> Stage:
+def _stage_unroll_keep_toffoli(target: Target, options: TranspileOptions) -> Stage:
     return Stage(
         "decompose",
-        [DecomposeToBasisPass(basis=ctx.target.basis_gates, keep=("ccx", "ccz"))],
+        [DecomposeToBasisPass(basis=target.basis_gates, keep=("ccx", "ccz"))],
     )
 
 
-def _stage_pre_optimize(ctx: _TranspileContext) -> Optional[Stage]:
+def _stage_pre_optimize(target: Target, options: TranspileOptions) -> Optional[Stage]:
     # Level 2+: clean the decomposed program *before* placement/routing too,
     # so routing never pays for gates the clean-up would have removed.
-    if ctx.optimization_level < 2:
+    if options.optimization_level < 2:
         return None
     return Stage("pre_optimize", [_cleanup_loop()])
 
 
-def _stage_layout(ctx: _TranspileContext) -> Stage:
-    return Stage(
-        "layout",
-        [_layout_pass(ctx.layout, ctx.target.coupling_map, ctx.target.calibration)],
-    )
+def _stage_layout(target: Target, options: TranspileOptions) -> Stage:
+    return Stage("layout", [_layout_pass(options.layout, target)])
 
 
-def _stage_route_pairs(ctx: _TranspileContext) -> Stage:
+def _stage_route_pairs(target: Target, options: TranspileOptions) -> Stage:
     return Stage(
         "routing",
         [
             GreedySwapRouter(
-                ctx.target.coupling_map,
-                edge_weights=ctx.edge_weights,
-                stochastic=(ctx.routing == "stochastic"),
-                seed=ctx.seed,
+                target.coupling_map,
+                edge_weights=_edge_weights(target, options),
+                stochastic=(options.routing == "stochastic"),
+                seed=options.seed,
             )
         ],
     )
 
 
-def _stage_route_trios(ctx: _TranspileContext) -> Stage:
+def _stage_route_trios(target: Target, options: TranspileOptions) -> Stage:
+    assert options.overlap_optimization is not None  # resolved with the stage
     return Stage(
         "routing",
         [
             TriosRouter(
-                ctx.target.coupling_map,
-                edge_weights=ctx.edge_weights,
-                overlap_optimization=ctx.overlap_optimization,
-                stochastic=(ctx.routing == "stochastic"),
-                seed=ctx.seed,
+                target.coupling_map,
+                edge_weights=_edge_weights(target, options),
+                overlap_optimization=options.overlap_optimization,
+                stochastic=(options.routing == "stochastic"),
+                seed=options.seed,
             )
         ],
     )
 
 
-def _stage_second_decompose(ctx: _TranspileContext) -> Stage:
-    if ctx.second_decomposition == "mapping_aware":
-        second: BasePass = MappingAwareToffoliDecomposePass(ctx.target.coupling_map)
+def _stage_second_decompose(target: Target, options: TranspileOptions) -> Stage:
+    assert options.second_decomposition is not None  # resolved with the stage
+    if options.second_decomposition == "mapping_aware":
+        second: BasePass = MappingAwareToffoliDecomposePass(target.coupling_map)
     else:
-        second = ToffoliDecomposePass(mode=ctx.second_decomposition)
+        second = ToffoliDecomposePass(mode=options.second_decomposition)
     return Stage("second_decompose", [second])
 
 
-def _stage_legalize(ctx: _TranspileContext) -> Stage:
+def _stage_legalize(target: Target, options: TranspileOptions) -> Stage:
     # After a fixed-mode second decomposition some CNOTs may be between
     # non-coupled qubits; the legalisation router fixes them.  For the
     # mapping-aware decomposition it inserts zero SWAPs.
     return Stage(
         "legalize",
-        [LegalizationRouter(ctx.target.coupling_map, edge_weights=ctx.edge_weights)],
+        [
+            LegalizationRouter(
+                target.coupling_map, edge_weights=_edge_weights(target, options)
+            )
+        ],
     )
 
 
-def _stage_route_pairs_greedy(ctx: _TranspileContext) -> Stage:
+def _stage_route_pairs_greedy(target: Target, options: TranspileOptions) -> Stage:
     # The "greedy-depth" flow pins deterministic shortest-path routing — that
     # determinism is the flow's identity, like the Trios router is trios'.
     return Stage(
         "routing",
         [
             GreedySwapRouter(
-                ctx.target.coupling_map,
-                edge_weights=ctx.edge_weights,
+                target.coupling_map,
+                edge_weights=_edge_weights(target, options),
                 stochastic=False,
-                seed=ctx.seed,
+                seed=options.seed,
             )
         ],
     )
 
 
-def _stage_optimize(ctx: _TranspileContext) -> Stage:
+def _stage_optimize(target: Target, options: TranspileOptions) -> Stage:
     passes: List[BasePass] = [DecomposeSwapsPass()]
-    if ctx.optimization_level >= 1:
+    if options.optimization_level >= 1:
         passes.append(_cleanup_loop())
-    if ctx.optimization_level >= 3:
+    if options.optimization_level >= 3:
         # Appended after the level-2 loop converged: level 3 is additive.
         passes.append(_commutation_loop())
     return Stage("optimize", passes)
 
 
-def _stage_optimize_depth(ctx: _TranspileContext) -> Stage:
+def _stage_optimize_depth(target: Target, options: TranspileOptions) -> Stage:
     # The depth-oriented clean-up of the "greedy-depth" flow: always runs the
     # commutation-aware loop (its cancellations shorten dependency chains),
     # regardless of the optimisation level.
@@ -250,9 +249,10 @@ def _stage_optimize_depth(ctx: _TranspileContext) -> Stage:
     )
 
 
-#: Stage-name → builder registry.  Builders may return ``None`` to skip a
-#: stage for the current options (e.g. ``pre_optimize`` below level 2).
-STAGE_BUILDERS: Dict[str, Callable[[_TranspileContext], Optional[Stage]]] = {
+#: Stage-name → builder registry.  A builder reads the target and the
+#: resolved options; it may return ``None`` to skip its stage for those
+#: options (e.g. ``pre_optimize`` below level 2).
+STAGE_BUILDERS: Dict[str, Callable[[Target, TranspileOptions], Optional[Stage]]] = {
     "unroll": _stage_unroll,
     "unroll_keep_toffoli": _stage_unroll_keep_toffoli,
     "pre_optimize": _stage_pre_optimize,
@@ -292,22 +292,269 @@ PIPELINES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def build_pass_manager(method: str, ctx: _TranspileContext) -> PassManager:
-    """Assemble the :class:`PassManager` for one named pipeline."""
-    try:
-        stage_names = PIPELINES[method]
-    except KeyError as exc:
-        raise TranspilerError(f"unknown compilation method {method!r}") from exc
-    return _build_partial_manager(stage_names, ctx)
+# ----------------------------------------------------------------------
+# The option model
+# ----------------------------------------------------------------------
+#: Named placement strategies; ``"noise"`` needs a calibrated target.
+LAYOUT_NAMES = ("trivial", "greedy", "noise")
+
+#: Layout/routing seeds tried by the level-3 search when ``seed_trials`` is
+#: not given.
+DEFAULT_SEED_TRIALS = 4
+
+#: Stride between the level-3 candidate seeds.  A large prime, so candidate
+#: streams do not collide with the neighbouring base seeds sweeps use.
+_SEED_STRIDE = 9973
+
+#: Marks a field that cannot change the compiled circuit, only how it is
+#: produced or checked; :meth:`TranspileOptions.canonical` leaves it out.
+_NON_SEMANTIC = {"semantic": False}
+
+
+@dataclass(frozen=True)
+class TranspileOptions:
+    """Every :func:`transpile` option, resolved and checked once.
+
+    Build one with :meth:`resolve`.  Its fields hold *effective* values:
+    defaults filled in, a stage-conditional option set only when the pipeline
+    has the stage that consumes it (``None`` otherwise), ``seed_trials`` set
+    only at level 3.  :func:`transpile`, the level-3 seed search and the
+    compile service's job key (:mod:`repro.service.jobs`) all read this one
+    object, so a default or a check lives nowhere else.
+
+    Attributes:
+        method: Pipeline name — ``"trios"`` (Figure 2b), ``"baseline"``
+            (Figure 2a) or ``"greedy-depth"``; see :data:`PIPELINES`.
+        layout: Placement strategy (one of :data:`LAYOUT_NAMES`), an
+            explicit :class:`Layout`, or a logical→physical mapping dict.
+        optimization_level: ``0`` only expands routing SWAPs; ``1`` (default)
+            additionally iterates the light clean-up passes (CNOT
+            cancellation, 1q consolidation, identity removal) to a fixed
+            point after routing; ``2`` also runs the same loop on the
+            decomposed program *before* placement; ``3`` additionally runs
+            the commutation-aware cancellation loop
+            (:class:`~repro.passes.commutation.CommutativeCancellationPass`)
+            after the level-2 loop converges *and* searches ``seed_trials``
+            layout/routing seeds, keeping the candidate with the best
+            estimated success probability among those that do not regress
+            the base seed's CNOT count or depth — so a level-3 compile never
+            has more CNOTs or greater depth than the level-2 compile with
+            the same seed.
+        seed: RNG seed for the stochastic routing policy; ``None`` asks for
+            seedless (non-reproducible) routing.
+        routing: ``"stochastic"`` models Qiskit 0.14's stochastic swap policy
+            (the paper's baseline); ``"greedy"`` is deterministic
+            shortest-path routing.
+        noise_aware: Use ``-log`` CNOT-success edge weights when routing
+            (requires a calibrated target).
+        toffoli_mode: Up-front Toffoli decomposition of the ``unroll`` stage
+            — ``"6cnot"`` (Qiskit's default, also the default here) or
+            ``"8cnot"``.
+        second_decomposition: Trios' post-routing decomposition —
+            ``"mapping_aware"`` (the paper's contribution, the default),
+            ``"6cnot"`` or ``"8cnot"`` for the ablations.
+        overlap_optimization: Trios' "ending points overlap" SWAP saving
+            (default on).
+        calibration: Folded into an uncalibrated target.
+        seed_trials: Number of layout/routing seeds the level-3 search tries
+            (default :data:`DEFAULT_SEED_TRIALS`); only accepted at level 3.
+        validate: ``False`` disables all checking.  Any other value keeps
+            the final coupling-map connectivity check and additionally
+            selects the pass-contract validation mode (see
+            :mod:`repro.analysis.contracts`): ``True`` defers to the
+            ``REPRO_VALIDATE`` environment variable, ``"contracts"`` checks
+            declared pass contracts between stages, ``"full"`` also lints
+            the IR structurally and re-verifies held invariants after every
+            pass, attributing the first violation to the offending pass.
+        jobs: Worker processes for the level-3 seed search, run on the
+            fault-tolerant runtime (:mod:`repro.runtime`): faulted candidate
+            seeds are dropped and the base seed always survives, so the
+            search cannot fail because of a flaky worker.  ``0`` means all
+            CPUs; results are identical to ``jobs=1``.  Only accepted at
+            level 3.
+    """
+
+    method: str
+    layout: LayoutSpec = "greedy"
+    optimization_level: int = 1
+    seed: Optional[int] = 2021
+    routing: str = "stochastic"
+    noise_aware: bool = False
+    toffoli_mode: Optional[str] = None
+    second_decomposition: Optional[str] = None
+    overlap_optimization: Optional[bool] = None
+    calibration: Optional[DeviceCalibration] = None
+    seed_trials: Optional[int] = None
+    validate: Union[bool, str] = field(default=True, metadata=_NON_SEMANTIC)
+    jobs: int = field(default=1, metadata=_NON_SEMANTIC)
+
+    #: Stage-conditional options: (option, consuming stage, default).  A
+    #: pipeline without the stage rejects the option — an ablation run
+    #: passing e.g. ``second_decomposition`` to the baseline flow is a bug.
+    _STAGE_OPTIONS: ClassVar[Tuple[Tuple[str, str, Any], ...]] = (
+        ("toffoli_mode", "unroll", "6cnot"),
+        ("second_decomposition", "second_decompose", "mapping_aware"),
+        ("overlap_optimization", "route_trios", True),
+    )
+
+    @classmethod
+    def resolve(cls, method: str, **options: Any) -> TranspileOptions:
+        """The effective options of ``transpile(circuit, target, method,
+        **options)``, or a :class:`TranspilerError` naming the first bad one.
+
+        An explicit ``None`` means "the default" for every option except
+        ``seed``, where it asks for seedless routing.
+        """
+        try:
+            stage_names = PIPELINES[method]
+        except KeyError as exc:
+            raise TranspilerError(f"unknown compilation method {method!r}") from exc
+        unknown = set(options) - _OPTION_NAMES
+        if unknown:
+            raise TranspilerError(
+                f"unknown transpile option(s) {sorted(unknown)}; "
+                f"valid options: {sorted(_OPTION_NAMES)}"
+            )
+        given = {
+            name: value
+            for name, value in options.items()
+            if value is not None or name == "seed"
+        }
+        for option, consumer, default in cls._STAGE_OPTIONS:
+            if consumer in stage_names:
+                given.setdefault(option, default)
+            elif option in given:
+                raise TranspilerError(
+                    f"{option}={given[option]!r} has no effect: pipeline "
+                    f"{method!r} has no {consumer!r} stage"
+                )
+        resolved = cls(method=method, **given)
+        resolved._check_values()
+        if resolved.optimization_level == 3 and resolved.seed_trials is None:
+            resolved = replace(resolved, seed_trials=DEFAULT_SEED_TRIALS)
+        return resolved
+
+    def _check_values(self) -> None:
+        level = self.optimization_level
+        if not isinstance(level, int) or not 0 <= level <= 3:
+            raise TranspilerError(f"invalid optimization_level {level!r}")
+        if level < 3:
+            # Search knobs silently ignored by the lower levels are bugs at
+            # the call site, exactly like pipeline-less options.
+            if self.seed_trials is not None:
+                raise TranspilerError(
+                    f"seed_trials={self.seed_trials!r} has no effect below "
+                    f"optimization_level=3"
+                )
+            if self.jobs != 1:
+                raise TranspilerError(
+                    f"jobs={self.jobs!r} has no effect below optimization_level=3"
+                )
+        if self.seed_trials is not None and (
+            not isinstance(self.seed_trials, int) or self.seed_trials < 1
+        ):
+            raise TranspilerError(f"seed_trials must be >= 1, got {self.seed_trials!r}")
+        if self.routing not in ("stochastic", "greedy"):
+            raise TranspilerError(f"unknown routing policy {self.routing!r}")
+        if self.toffoli_mode not in (None, "6cnot", "8cnot"):
+            raise TranspilerError(f"unknown toffoli_mode {self.toffoli_mode!r}")
+        if self.second_decomposition not in (None, "mapping_aware", "6cnot", "8cnot"):
+            raise TranspilerError(
+                f"unknown second_decomposition {self.second_decomposition!r}"
+            )
+        if self.layout not in LAYOUT_NAMES and not isinstance(
+            self.layout, (Layout, Mapping)
+        ):
+            raise TranspilerError(f"unknown layout specification {self.layout!r}")
+        if self.validate is not True:
+            resolve_validation_mode(self.validate)
+
+    @property
+    def validate_mode(self) -> str:
+        """The pass-contract mode; ``validate=True`` defers to the environment."""
+        return resolve_validation_mode(None if self.validate is True else self.validate)
+
+    @property
+    def cacheable(self) -> bool:
+        """False when the compile is intentionally non-reproducible.
+
+        Seedless stochastic routing draws from an unseeded RNG; caching such
+        a result would freeze one arbitrary draw forever, silently changing
+        the caller's semantics.  Everything else is deterministic.
+        """
+        return not (self.seed is None and self.routing == "stochastic")
+
+    @property
+    def label(self) -> str:
+        """The method name a result reports, e.g. ``"trios-mapping_aware"``."""
+        if self.method == "baseline":
+            return f"baseline-{self.toffoli_mode}"
+        if self.second_decomposition is not None:
+            return f"{self.method}-{self.second_decomposition}"
+        return self.method
+
+    def canonical(self) -> Tuple[Tuple[str, str], ...]:
+        """The semantic fields as sorted ``(name, rendered value)`` pairs.
+
+        ``jobs`` and ``validate`` cannot change the compiled circuit and are
+        left out, so varying them never splits a cache key.
+        """
+        return tuple(
+            (name, _canonical_value(getattr(self, name))) for name in _SEMANTIC_NAMES
+        )
+
+    def as_kwargs(self) -> Dict[str, Any]:
+        """Keywords that :meth:`resolve` (and so :func:`transpile`) maps back
+        to these same options."""
+        return {name: getattr(self, name) for name in _OPTION_NAMES}
+
+
+#: Every keyword option :func:`transpile` accepts.
+_OPTION_NAMES = frozenset(f.name for f in fields(TranspileOptions)) - {"method"}
+
+#: The fields a compile's output depends on, in canonical (sorted) order.
+_SEMANTIC_NAMES = tuple(
+    sorted(f.name for f in fields(TranspileOptions) if f.metadata.get("semantic", True))
+)
+
+
+def _canonical_value(value: Any) -> str:
+    """A stable, type-prefixed rendering of one option value."""
+    if value is None:
+        return "none"
+    if isinstance(value, str):
+        return f"str:{value}"
+    if isinstance(value, bool):
+        return f"bool:{value}"
+    if isinstance(value, int):
+        return f"int:{value}"
+    if isinstance(value, float):
+        return f"float:{value.hex()}"
+    if isinstance(value, Layout):
+        value = value.to_dict()
+    if isinstance(value, Mapping):
+        items = sorted((int(k), int(v)) for k, v in value.items())
+        return "map:" + ",".join(f"{k}->{v}" for k, v in items)
+    if isinstance(value, (tuple, list)):
+        return "seq:[" + ",".join(_canonical_value(v) for v in value) + "]"
+    raise TranspilerError(
+        f"option value {value!r} of type {type(value).__name__} has no "
+        f"canonical form"
+    )
+
+
+def build_pass_manager(target: Target, options: TranspileOptions) -> PassManager:
+    """Assemble the :class:`PassManager` for ``options.method``'s pipeline."""
+    return _build_partial_manager(PIPELINES[options.method], target, options)
 
 
 def _build_partial_manager(
-    stage_names: Tuple[str, ...], ctx: _TranspileContext
+    stage_names: Tuple[str, ...], target: Target, options: TranspileOptions
 ) -> PassManager:
     """A :class:`PassManager` over an explicit slice of a pipeline's stages."""
-    manager = PassManager(validate=ctx.validate_mode)
+    manager = PassManager(validate=options.validate_mode)
     for stage_name in stage_names:
-        stage = STAGE_BUILDERS[stage_name](ctx)
+        stage = STAGE_BUILDERS[stage_name](target, options)
         if stage is not None:
             manager.append(stage)
     return manager
@@ -328,10 +575,7 @@ def _split_stage_names(method: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     each candidate re-runs.  A pipeline without a ``"layout"`` stage gets an
     empty prefix — every stage re-runs per candidate, which is always correct.
     """
-    try:
-        stage_names = PIPELINES[method]
-    except KeyError as exc:
-        raise TranspilerError(f"unknown compilation method {method!r}") from exc
+    stage_names = PIPELINES[method]
     try:
         split = stage_names.index(_SEED_SEARCH_SPLIT_STAGE)
     except ValueError:
@@ -342,33 +586,11 @@ def _split_stage_names(method: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
 # ----------------------------------------------------------------------
 # The unified entry point
 # ----------------------------------------------------------------------
-#: Layout/routing seeds tried by the level-3 search when ``seed_trials`` is
-#: not given.
-DEFAULT_SEED_TRIALS = 4
-
-#: Stride between the level-3 candidate seeds.  A large prime, so candidate
-#: streams do not collide with the neighbouring base seeds sweeps use.
-_SEED_STRIDE = 9973
-
-
 def transpile(
     circuit: QuantumCircuit,
     target: Union[Target, CouplingMap],
     method: str = "trios",
-    *,
-    layout: LayoutSpec = "greedy",
-    optimization_level: Optional[int] = None,
-    seed: Optional[int] = 2021,
-    routing: str = "stochastic",
-    noise_aware: bool = False,
-    toffoli_mode: Optional[str] = None,
-    second_decomposition: Optional[str] = None,
-    overlap_optimization: Optional[bool] = None,
-    calibration: Optional[DeviceCalibration] = None,
-    optimize: Optional[bool] = None,
-    validate: Union[bool, str] = True,
-    seed_trials: Optional[int] = None,
-    jobs: int = 1,
+    **options: Any,
 ) -> CompilationResult:
     """Compile ``circuit`` for ``target`` with a named pipeline.
 
@@ -378,164 +600,34 @@ def transpile(
             :class:`CouplingMap` (promoted to an uncalibrated target).
         method: Pipeline name — ``"trios"`` (Figure 2b) or ``"baseline"``
             (Figure 2a); see :data:`PIPELINES`.
-        layout: Placement strategy (``"trivial"``/``"greedy"``/``"noise"``),
-            an explicit :class:`Layout`, or a logical→physical mapping dict.
-        optimization_level: ``0`` only expands routing SWAPs; ``1`` (default)
-            additionally iterates the light clean-up passes (CNOT
-            cancellation, 1q consolidation, identity removal) to a fixed
-            point after routing; ``2`` also runs the same loop on the
-            decomposed program *before* placement; ``3`` additionally runs
-            the commutation-aware cancellation loop
-            (:class:`~repro.passes.commutation.CommutativeCancellationPass`)
-            after the level-2 loop converges *and* searches ``seed_trials``
-            layout/routing seeds, keeping the candidate with the best
-            estimated success probability among those that do not regress
-            the base seed's CNOT count or depth — so a level-3 compile never
-            has more CNOTs or greater depth than the level-2 compile with
-            the same seed.
-        seed: RNG seed for the stochastic routing policy.
-        routing: ``"stochastic"`` models Qiskit 0.14's stochastic swap policy
-            (the paper's baseline); ``"greedy"`` is deterministic
-            shortest-path routing.
-        noise_aware: Use ``-log`` CNOT-success edge weights when routing
-            (requires a calibrated target).
-        toffoli_mode: Up-front Toffoli decomposition for the baseline flow —
-            ``"6cnot"`` (Qiskit's default, also the default here) or
-            ``"8cnot"``.  Rejected when the selected pipeline has no
-            ``unroll`` stage (e.g. ``method="trios"``).
-        second_decomposition: Trios' post-routing decomposition —
-            ``"mapping_aware"`` (the paper's contribution, the default),
-            ``"6cnot"`` or ``"8cnot"`` for the ablations.  Rejected when the
-            selected pipeline has no ``second_decompose`` stage.
-        overlap_optimization: Trios' "ending points overlap" SWAP saving
-            (default on).  Rejected when the selected pipeline has no
-            ``route_trios`` stage.
-        calibration: Convenience: folded into an uncalibrated target.
-        optimize: Legacy boolean; maps to optimization level 1 (True) / 0
-            (False) when ``optimization_level`` is not given.
-        validate: ``False`` disables all checking.  Any other value keeps
-            the final coupling-map connectivity check and additionally
-            selects the pass-contract validation mode (see
-            :mod:`repro.analysis.contracts`): ``True`` defers to the
-            ``REPRO_VALIDATE`` environment variable, ``"contracts"`` checks
-            declared pass contracts between stages, ``"full"`` also lints
-            the IR structurally and re-verifies held invariants after every
-            pass, attributing the first violation to the offending pass.
-        seed_trials: Number of layout/routing seeds the level-3 search
-            tries (default :data:`DEFAULT_SEED_TRIALS`); only meaningful —
-            and only accepted — at ``optimization_level=3``.
-        jobs: Worker processes for the level-3 seed search, run on the
-            fault-tolerant runtime (:mod:`repro.runtime`): faulted candidate
-            seeds are dropped and the base seed always survives, so the
-            search cannot fail because of a flaky worker.  ``0`` means all
-            CPUs; results are identical to ``jobs=1``.  Only accepted at
-            ``optimization_level=3``.
+        **options: Keyword options — ``layout``, ``optimization_level``,
+            ``seed``, ``routing``, ``noise_aware``, ``toffoli_mode``,
+            ``second_decomposition``, ``overlap_optimization``,
+            ``calibration``, ``seed_trials``, ``validate``, ``jobs``.  Their
+            defaults and meaning are documented on :class:`TranspileOptions`,
+            which resolves them; an unknown, invalid or (for the selected
+            pipeline) ineffective option raises :class:`TranspilerError`.
 
     Returns:
         A :class:`CompilationResult` carrying the compiled circuit, the
-        target, the layouts, and per-pass telemetry (``pass_timings``).
+        target, the layouts, and per-pass telemetry (``pass_spans``).
     """
-    resolved = Target.of(target, calibration)
-    if optimization_level is None:
-        optimization_level = 1 if (optimize is None or optimize) else 0
-    elif optimize is not None:
-        raise TranspilerError("pass either optimization_level or optimize, not both")
-    if not 0 <= optimization_level <= 3:
-        raise TranspilerError(f"invalid optimization_level {optimization_level}")
-    if optimization_level < 3:
-        # Search knobs silently ignored by the lower levels are bugs at the
-        # call site, exactly like pipeline-less options below.
-        if seed_trials is not None:
-            raise TranspilerError(
-                f"seed_trials={seed_trials!r} has no effect below "
-                f"optimization_level=3"
-            )
-        if jobs != 1:
-            raise TranspilerError(
-                f"jobs={jobs!r} has no effect below optimization_level=3"
-            )
-    if seed_trials is not None and seed_trials < 1:
-        raise TranspilerError(f"seed_trials must be >= 1, got {seed_trials}")
-    if routing not in ("stochastic", "greedy"):
-        raise TranspilerError(f"unknown routing policy {routing!r}")
-    try:
-        stage_names = PIPELINES[method]
-    except KeyError as exc:
-        raise TranspilerError(f"unknown compilation method {method!r}") from exc
-    # Reject options the selected pipeline would silently ignore — an ablation
-    # run passing e.g. second_decomposition to the baseline flow is a bug.
-    for option, value, consumer in (
-        ("toffoli_mode", toffoli_mode, "unroll"),
-        ("second_decomposition", second_decomposition, "second_decompose"),
-        ("overlap_optimization", overlap_optimization, "route_trios"),
-    ):
-        if value is not None and consumer not in stage_names:
-            raise TranspilerError(
-                f"{option}={value!r} has no effect: pipeline {method!r} has "
-                f"no {consumer!r} stage"
-            )
-    toffoli_mode = toffoli_mode if toffoli_mode is not None else "6cnot"
-    if second_decomposition is None:
-        second_decomposition = "mapping_aware"
-    if overlap_optimization is None:
-        overlap_optimization = True
-    if toffoli_mode not in ("6cnot", "8cnot"):
-        raise TranspilerError(f"unknown toffoli_mode {toffoli_mode!r}")
-    if second_decomposition not in ("mapping_aware", "6cnot", "8cnot"):
-        raise TranspilerError(
-            f"unknown second_decomposition {second_decomposition!r}"
-        )
-    edge_weights = None
-    if noise_aware:
-        if resolved.calibration is None:
-            raise TranspilerError("noise-aware routing requires a calibration")
-        edge_weights = resolved.noise_edge_weights()
-    # validate=False turns everything off; validate=True defers the contract
-    # mode to the environment (REPRO_VALIDATE); an explicit string picks it.
-    if validate is False:
-        validate_mode: Union[None, bool, str] = "off"
-    elif validate is True:
-        validate_mode = None
-    else:
-        validate_mode = validate
-    validate_mode = resolve_validation_mode(validate_mode)
-    ctx = _TranspileContext(
-        target=resolved,
-        layout=layout,
-        optimization_level=optimization_level,
-        seed=seed,
-        routing=routing,
-        toffoli_mode=toffoli_mode,
-        second_decomposition=second_decomposition,
-        overlap_optimization=overlap_optimization,
-        edge_weights=edge_weights,
-        validate_mode=validate_mode,
-    )
-    if method == "baseline":
-        method_label = f"baseline-{toffoli_mode}"
-    elif "second_decompose" in stage_names:
-        method_label = f"{method}-{second_decomposition}"
-    else:
-        method_label = method
+    resolved = TranspileOptions.resolve(method, **options)
+    device = Target.of(target, resolved.calibration)
     obs.maybe_enable_from_env()
     with obs.span(
         "transpile",
         category="compiler",
         source=circuit.name,
-        method=method_label,
-        optimization_level=optimization_level,
+        method=resolved.label,
+        optimization_level=resolved.optimization_level,
         qubits=circuit.num_qubits,
     ):
-        if optimization_level >= 3:
-            compiled, properties = _run_seed_search(
-                circuit, method, ctx, seed_trials, jobs
-            )
+        if resolved.optimization_level >= 3:
+            compiled, properties = _run_seed_search(circuit, device, resolved)
         else:
-            manager = build_pass_manager(method, ctx)
-            compiled, properties = manager.run(circuit)
-        return _finish(
-            compiled, properties, resolved, method_label, circuit.name, validate
-        )
+            compiled, properties = build_pass_manager(device, resolved).run(circuit)
+        return _finish(compiled, properties, device, resolved, circuit.name)
 
 
 # ----------------------------------------------------------------------
@@ -552,7 +644,7 @@ def _candidate_seeds(seed: Optional[int], trials: int) -> List[Optional[int]]:
 
 def _seed_candidate(
     payload: Tuple[
-        "_TranspileContext", str, QuantumCircuit, Optional[PropertySet], Optional[int]
+        Target, TranspileOptions, QuantumCircuit, Optional[PropertySet], Optional[int]
     ]
 ):
     """Compile and score one level-3 candidate; process-pool entry point.
@@ -565,14 +657,14 @@ def _seed_candidate(
     object).  ``prefix_properties=None`` means no prefix ran — the candidate
     compiles the full pipeline itself.
     """
-    base_ctx, method, circuit, prefix_properties, candidate_seed = payload
-    ctx = replace(base_ctx, seed=candidate_seed)
+    target, base_options, circuit, prefix_properties, candidate_seed = payload
+    options = replace(base_options, seed=candidate_seed)
     if prefix_properties is None:
-        manager = build_pass_manager(method, ctx)
+        manager = build_pass_manager(target, options)
         properties = None
     else:
-        _, suffix_names = _split_stage_names(method)
-        manager = _build_partial_manager(suffix_names, ctx)
+        _, suffix_names = _split_stage_names(options.method)
+        manager = _build_partial_manager(suffix_names, target, options)
         properties = copy.deepcopy(prefix_properties)
     with obs.span(
         "seed_candidate", category="compiler.seed_search", seed=candidate_seed
@@ -580,19 +672,15 @@ def _seed_candidate(
         compiled, properties = manager.run(circuit, properties)
         cnots = compiled.two_qubit_gate_count(count_swap_as=3)
         depth = compiled.depth()
-        success = base_ctx.target.estimated_success(compiled)
+        success = target.estimated_success(compiled)
         candidate_span.add_attrs(cnots=cnots, depth=depth, estimated_success=success)
     return compiled, properties, cnots, depth, success
 
 
 def _run_seed_search(
-    circuit: QuantumCircuit,
-    method: str,
-    ctx: _TranspileContext,
-    seed_trials: Optional[int],
-    jobs: int,
+    circuit: QuantumCircuit, target: Target, options: TranspileOptions
 ) -> Tuple[QuantumCircuit, PropertySet]:
-    """Compile ``seed_trials`` candidates and keep the best admissible one.
+    """Compile ``options.seed_trials`` candidates; keep the best admissible one.
 
     The base seed's candidate runs the level-2 pipeline plus the (strictly
     gate-removing) commutation loop, so it never has more CNOTs or depth than
@@ -617,20 +705,20 @@ def _run_seed_search(
     ``tests/test_transpile.py`` pins byte-identity against the full per-seed
     pipeline).
     """
-    jobs = resolve_jobs(jobs)
-    trials = seed_trials if seed_trials is not None else DEFAULT_SEED_TRIALS
-    seeds = _candidate_seeds(ctx.seed, trials)
-    prefix_names, _ = _split_stage_names(method)
+    assert options.seed_trials is not None  # resolved at level 3
+    jobs = resolve_jobs(options.jobs)
+    seeds = _candidate_seeds(options.seed, options.seed_trials)
+    prefix_names, _ = _split_stage_names(options.method)
     prefix_properties: Optional[PropertySet] = None
     with obs.span(
         "seed_search", category="compiler.seed_search", trials=len(seeds), jobs=jobs
     ):
         if prefix_names:
             circuit, prefix_properties = _build_partial_manager(
-                prefix_names, ctx
+                prefix_names, target, options
             ).run(circuit)
         payloads = [
-            (ctx, method, circuit, prefix_properties, candidate_seed)
+            (target, options, circuit, prefix_properties, candidate_seed)
             for candidate_seed in seeds
         ]
         runner = CellRunner(
@@ -698,11 +786,10 @@ def _finish(
     circuit: QuantumCircuit,
     properties: PropertySet,
     target: Target,
-    method: str,
+    options: TranspileOptions,
     source_name: str,
-    validate: Union[bool, str],
 ) -> CompilationResult:
-    if validate is not False and validate != "off":
+    if options.validate is not False and options.validate != "off":
         violations = check_connectivity(circuit, target.coupling_map)
         if violations:
             raise TranspilerError(
@@ -711,7 +798,7 @@ def _finish(
     return CompilationResult(
         circuit=circuit,
         coupling_map=target.coupling_map,
-        method=method,
+        method=options.label,
         initial_layout=properties["initial_layout"],
         final_layout=properties["final_layout"],
         swaps_inserted=properties.get("swaps_inserted", 0),
@@ -722,63 +809,17 @@ def _finish(
 
 
 # ----------------------------------------------------------------------
-# Legacy shims (the historical two-function API)
+# The historical two-function API
 # ----------------------------------------------------------------------
 def compile_baseline(
-    circuit: QuantumCircuit,
-    coupling_map: Union[Target, CouplingMap],
-    *,
-    toffoli_mode: str = "6cnot",
-    layout: LayoutSpec = "greedy",
-    calibration: Optional[DeviceCalibration] = None,
-    noise_aware: bool = False,
-    routing: str = "stochastic",
-    seed: Optional[int] = 2021,
-    optimize: bool = True,
-    validate: bool = True,
+    circuit: QuantumCircuit, coupling_map: Union[Target, CouplingMap], **options: Any
 ) -> CompilationResult:
-    """Conventional compilation (Figure 2a) — shim over :func:`transpile`."""
-    return transpile(
-        circuit,
-        coupling_map,
-        method="baseline",
-        toffoli_mode=toffoli_mode,
-        layout=layout,
-        calibration=calibration,
-        noise_aware=noise_aware,
-        routing=routing,
-        seed=seed,
-        optimize=optimize,
-        validate=validate,
-    )
+    """Conventional compilation (Figure 2a): ``transpile(..., "baseline")``."""
+    return transpile(circuit, coupling_map, "baseline", **options)
 
 
 def compile_trios(
-    circuit: QuantumCircuit,
-    coupling_map: Union[Target, CouplingMap],
-    *,
-    second_decomposition: str = "mapping_aware",
-    layout: LayoutSpec = "greedy",
-    calibration: Optional[DeviceCalibration] = None,
-    noise_aware: bool = False,
-    overlap_optimization: bool = True,
-    routing: str = "stochastic",
-    seed: Optional[int] = 2021,
-    optimize: bool = True,
-    validate: bool = True,
+    circuit: QuantumCircuit, coupling_map: Union[Target, CouplingMap], **options: Any
 ) -> CompilationResult:
-    """Orchestrated Trios compilation (Figure 2b) — shim over :func:`transpile`."""
-    return transpile(
-        circuit,
-        coupling_map,
-        method="trios",
-        second_decomposition=second_decomposition,
-        layout=layout,
-        calibration=calibration,
-        noise_aware=noise_aware,
-        overlap_optimization=overlap_optimization,
-        routing=routing,
-        seed=seed,
-        optimize=optimize,
-        validate=validate,
-    )
+    """Orchestrated Trios compilation (Figure 2b): ``transpile(..., "trios")``."""
+    return transpile(circuit, coupling_map, "trios", **options)

@@ -312,7 +312,7 @@ def _run_table1() -> None:
 
 def _print_pass_profile(result) -> None:
     print("\n[Pass profile] per-pass compile time and gate delta\n")
-    print(format_pass_profile(result.all_pass_timings()))
+    print(format_pass_profile(result.all_pass_spans()))
 
 
 def _list_backends() -> None:

@@ -12,9 +12,7 @@ A :class:`PassManager` executes named :class:`Stage` groups in order,
 converting the input circuit to a DAG exactly once and back exactly once, and
 records one :class:`repro.obs.Span` per executed pass in
 ``properties["pass_spans"]`` (mirrored into the global trace when
-:mod:`repro.obs` is enabled); the legacy ``properties["pass_timings"]`` dict
-list is synthesized from those spans on access.  The :class:`FixedPoint`
-combinator repeats a
+:mod:`repro.obs` is enabled).  The :class:`FixedPoint` combinator repeats a
 pass group until a whole sweep makes no structural modification, which is how
 the optimisation stage iterates cancellation/consolidation to convergence
 instead of one hard-coded sweep.
@@ -29,28 +27,12 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.dag import DagCircuit
 from ..exceptions import TranspilerError
-
-
-def legacy_pass_timing(span: obs.Span) -> Dict[str, object]:
-    """The pre-trace-era dict shape of one pass-telemetry span."""
-    return {
-        "pass": span.name,
-        "stage": span.attrs.get("stage"),
-        "seconds": span.duration,
-        "size_before": span.attrs.get("size_before"),
-        "size_after": span.attrs.get("size_after"),
-    }
-
-
-def pass_timings_view(spans: Iterable[obs.Span]) -> List[Dict[str, object]]:
-    """Legacy ``pass_timings`` dict list derived from pass spans."""
-    return [legacy_pass_timing(span) for span in spans]
 
 
 class PropertySet(dict):
@@ -66,21 +48,8 @@ class PropertySet(dict):
     * ``"pass_spans"`` — one :class:`repro.obs.Span` per executed pass
       (name, stage/size attrs, wall-aligned start, duration) — the single
       source of pass telemetry.
-    * ``"pass_timings"`` — *virtual*: the legacy ``{pass, stage, seconds,
-      size_before, size_after}`` dict list, synthesized fresh from
-      ``pass_spans`` on every access (the ``--profile-passes`` data).
     * ``"fixed_point_iterations"`` — sweeps each :class:`FixedPoint` loop took.
     """
-
-    def __missing__(self, key):
-        if key == "pass_timings":
-            return pass_timings_view(dict.get(self, "pass_spans", ()))
-        raise KeyError(key)
-
-    def get(self, key, default=None):
-        if key == "pass_timings" and not dict.__contains__(self, key):
-            return pass_timings_view(dict.get(self, "pass_spans", ()))
-        return dict.get(self, key, default)
 
 
 def record_pass_span(
@@ -96,8 +65,8 @@ def record_pass_span(
 
     When :mod:`repro.obs` is enabled the span also lands in the global trace,
     parented under the innermost open span (the ``transpile`` span); when
-    disabled a detached record is created so per-pass telemetry — and the
-    legacy ``pass_timings`` view over it — keeps working with zero setup.
+    disabled a detached record is created so per-pass telemetry keeps working
+    with zero setup.
     """
     attrs: Dict[str, object] = {
         "stage": stage,

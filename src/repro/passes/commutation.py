@@ -387,7 +387,7 @@ class CommutativeCancellationPass(TransformationPass):
                         dag.remove_node(node)
                         removed.add(node)
                     merged = Gate(_ROTATION_SYNTH[axis], 1, (total,))
-                    if merged.is_identity(tol=1e-12):
+                    if merged.is_identity():
                         dag.remove_node(anchor)
                         removed.add(anchor)
                         continue
@@ -436,7 +436,7 @@ class CommutativeCancellationPass(TransformationPass):
                 dag.remove_node(node)
                 removed.add(node)
             merged = Gate(name, 2, (float(total),))
-            if merged.is_identity(tol=1e-12):
+            if merged.is_identity():
                 dag.remove_node(anchor)
                 removed.add(anchor)
                 continue

@@ -64,10 +64,15 @@ def u3_from_matrix(matrix: np.ndarray) -> Gate:
     return Gate("u3", 1, (theta, phi, lam))
 
 
-def matrix_is_identity(matrix: np.ndarray, atol: float = 1e-10) -> bool:
+#: Absolute tolerance of :func:`matrix_is_identity`; the comparison is purely
+#: absolute (``rtol=0``), so no real rotation is mistaken for the identity.
+IDENTITY_ATOL = 1e-10
+
+
+def matrix_is_identity(matrix: np.ndarray, atol: float = IDENTITY_ATOL) -> bool:
     """Whether a 2x2 unitary is the identity up to global phase."""
     matrix = np.asarray(matrix, dtype=complex)
     phase = matrix[0, 0]
     if abs(phase) < atol:
         return False
-    return bool(np.allclose(matrix / phase, np.eye(2), atol=atol))
+    return bool(np.allclose(matrix / phase, np.eye(2), rtol=0.0, atol=atol))

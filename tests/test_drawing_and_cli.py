@@ -114,3 +114,32 @@ class TestCli:
             main(["toffoli", "--sampler", "nonesuch"])
         with pytest.raises(SystemExit):
             main(["benchmarks", "--backend", "nonesuch"])
+
+    def test_profile_passes_table_is_pinned(self, capsys):
+        # Rows, stages, calls and gate delta of the --profile-passes table
+        # for a one-benchmark sweep; seconds (and the row order they drive)
+        # vary run to run and are not pinned.
+        assert main(["benchmarks", "--benchmarks", "cnx_inplace-4",
+                     "--profile-passes"]) == 0
+        output = capsys.readouterr().out
+        section = output.split("[Pass profile]", 1)[1].splitlines()
+        _caption, header, rule, *rows = [line for line in section if line.strip()]
+        assert header.split() == ["pass", "stage", "calls", "total", "ms",
+                                  "gate", "delta"]
+        assert set(rule) <= {"-", " "}
+        pinned = sorted(
+            (name, stage, int(calls), delta)
+            for name, stage, calls, _ms, delta in (row.split() for row in rows)
+        )
+        assert pinned == [
+            ("CancelAdjacentInversesPass", "optimize", 16, "+0"),
+            ("Consolidate1qRunsPass", "optimize", 16, "-87"),
+            ("DecomposeSwapsPass", "optimize", 8, "+72"),
+            ("DecomposeToBasisPass", "decompose", 8, "+272"),
+            ("GreedyInteractionLayoutPass", "layout", 8, "+0"),
+            ("GreedySwapRouter", "routing", 4, "+22"),
+            ("LegalizationRouter", "legalize", 4, "+0"),
+            ("MappingAwareToffoliDecomposePass", "second_decompose", 4, "+124"),
+            ("RemoveIdentitiesPass", "optimize", 16, "+0"),
+            ("TriosRouter", "routing", 4, "+14"),
+        ]

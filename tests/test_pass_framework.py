@@ -79,11 +79,11 @@ class TestStagedManager:
         out, properties = manager.run(cx_pair_circuit())
         assert len(out) == 0
         assert manager.stages() == ["analysis", "optimize"]
-        stages = {record["stage"] for record in properties["pass_timings"]}
+        stages = {span.attrs["stage"] for span in properties["pass_spans"]}
         assert stages == {"analysis", "optimize"}
-        for record in properties["pass_timings"]:
-            assert record["seconds"] >= 0
-            assert record["size_before"] >= record["size_after"] >= 0
+        for span in properties["pass_spans"]:
+            assert span.duration >= 0
+            assert span.attrs["size_before"] >= span.attrs["size_after"] >= 0
 
     def test_history_and_flat_pass_list(self):
         manager = PassManager([CountingAnalysis()])
@@ -159,7 +159,7 @@ class TestFixedPoint:
         properties = PropertySet()
         manager = PassManager([Stage("optimize", [self._loop()])])
         manager.run(cx_pair_circuit(), properties)
-        names = [record["pass"] for record in properties["pass_timings"]]
+        names = [span.name for span in properties["pass_spans"]]
         # Each sweep contributes one record per inner pass; no aggregate
         # FixedPoint record duplicates them.
         assert "CancelAdjacentInversesPass" in names

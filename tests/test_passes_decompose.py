@@ -12,6 +12,7 @@ from repro.passes import (
     DecomposeToBasisPass,
     MappingAwareToffoliDecomposePass,
     PropertySet,
+    RemoveIdentitiesPass,
     ToffoliDecomposePass,
     ccz_6cnot,
     ccz_8cnot_line,
@@ -57,6 +58,19 @@ class TestZyzSynthesis:
         assert matrix_is_identity(np.eye(2))
         assert matrix_is_identity(np.exp(1j * 0.3) * np.eye(2))
         assert not matrix_is_identity(Gate("x", 1).matrix())
+
+    def test_tiny_rotations_are_not_identity(self):
+        # Regression: numpy's default rtol=1e-5 used to make any rotation
+        # below ~1e-5 rad count as the identity, so RemoveIdentitiesPass
+        # deleted real gates.
+        tiny = Gate("rz", 1, (1e-6,))
+        assert not tiny.is_identity()
+        assert not matrix_is_identity(tiny.matrix())
+        assert Gate("rz", 1, (0.0,)).is_identity()
+        circuit = QuantumCircuit(1)
+        circuit.rz(1e-6, 0)
+        kept = RemoveIdentitiesPass().run(circuit)
+        assert [inst.gate for inst in kept.instructions] == [tiny]
 
     def test_non_unitary_rejected(self):
         with pytest.raises(TranspilerError):

@@ -11,16 +11,14 @@ Covers the PR's hard guarantees:
   Fig 9/10 sha256 reference;
 * worker crashes injected via ``REPRO_FAULTS`` surface as structured errors
   to exactly the affected requests without taking the server down;
-* the deprecated ``repro.parallel`` shim warns on import.
+* a request with an invalid option value is rejected before dispatch.
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
-import importlib
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -48,12 +46,10 @@ from repro.service import (
     ServiceClient,
     ServiceHTTPServer,
     ShardedLRUCache,
-    canonical_options,
     compile_job_key,
-    resolve_options,
     topology_signature,
 )
-from repro.compiler.pipeline import transpile
+from repro.compiler.pipeline import TranspileOptions, transpile
 
 REFERENCE = Path(__file__).parent / "data" / "fig9_10_compiled_sha256.json"
 
@@ -149,8 +145,10 @@ class TestCompileJobKeys:
     topo = ("line", 5, ((0, 1), (1, 2), (2, 3), (3, 4)))
     qasm = "OPENQASM 2.0;"
 
-    def key(self, method="baseline", **options):
-        return compile_job_key(self.qasm, self.topo, method, options)
+    def key(self, method="baseline", topo=topo, **options):
+        return compile_job_key(
+            self.qasm, topo, TranspileOptions.resolve(method, **options)
+        )
 
     def test_two_option_sets_never_collide(self):
         # The historical bug: (benchmark, topology, method, seed) ignored
@@ -174,9 +172,10 @@ class TestCompileJobKeys:
         assert self.key("trios", second_decomposition="mapping_aware") == (
             self.key("trios")
         )
-        # The legacy boolean maps onto the level it resolves to.
-        assert self.key(optimize=True) == self.key(optimization_level=1)
-        assert self.key(optimize=False) == self.key(optimization_level=0)
+        # The level-3 search's default trial count is resolved too.
+        assert self.key(optimization_level=3) == self.key(
+            optimization_level=3, seed_trials=4
+        )
 
     def test_non_semantic_options_do_not_fragment_the_key(self):
         assert self.key(validate=False) == self.key()
@@ -193,27 +192,19 @@ class TestCompileJobKeys:
     def test_methods_and_topologies_split_the_key(self):
         assert self.key("baseline") != self.key("trios")
         other = ("line", 5, ((0, 1), (1, 2), (2, 3), (0, 4)))
-        assert compile_job_key(self.qasm, other, "baseline", {}) != self.key()
+        assert self.key("baseline", topo=other) != self.key()
 
     def test_unknown_and_misdirected_options_rejected(self):
-        with pytest.raises(ServiceRequestError, match="unknown transpile option"):
-            resolve_options("baseline", {"opt_level": 2})
-        with pytest.raises(ServiceRequestError, match="has no effect"):
-            resolve_options("trios", {"toffoli_mode": "8cnot"})
-        with pytest.raises(ServiceRequestError, match="unknown compilation method"):
-            resolve_options("nonsense", {})
+        def job(method, **options):
+            circuit = get_benchmark("cnx_inplace-4")
+            return CompileJob.from_circuit(circuit, tiny_line(), method, **options)
 
-    def test_canonical_options_mirror_transpile_defaults(self):
-        # The key's default table must track the real signature: compile with
-        # no options and with the mirrored defaults and compare outputs.
-        circuit = get_benchmark("cnx_inplace-4")
-        coupling_map = tiny_line()
-        implicit = transpile(circuit, coupling_map, method="baseline", seed=7)
-        resolved = dict(resolve_options("baseline", {"seed": 7}))
-        for non_option in ("calibration",):
-            resolved.pop(non_option, None)
-        explicit = transpile(circuit, coupling_map, method="baseline", **resolved)
-        assert canonical_bytes(implicit.circuit) == canonical_bytes(explicit.circuit)
+        with pytest.raises(ServiceRequestError, match="unknown transpile option"):
+            job("baseline", opt_level=2)
+        with pytest.raises(ServiceRequestError, match="has no effect"):
+            job("trios", toffoli_mode="8cnot")
+        with pytest.raises(ServiceRequestError, match="unknown compilation method"):
+            job("nonsense")
 
     def test_seedless_stochastic_jobs_are_not_cacheable(self):
         circuit = get_benchmark("cnx_inplace-4")
@@ -456,6 +447,33 @@ class TestCompileService:
         with pytest.raises(ServiceError, match="on_error"):
             CompileService(policy=FailurePolicy(on_error="fail"))
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"routing": "nope"},
+            {"optimization_level": 7},
+            {"seed_trials": 3},
+            {"layout": "bogus"},
+            {"toffoli_mode": "9cnot"},
+            {"jobs": 4},
+        ],
+        ids=lambda options: next(iter(options)),
+    )
+    def test_invalid_option_values_rejected_before_dispatch(self, options):
+        async def scenario():
+            service = CompileService(pool_jobs=1, batch_window=0.01)
+            await service.start()
+            try:
+                with pytest.raises(ServiceRequestError):
+                    await service.compile(make_request(**options))
+            finally:
+                await service.stop()
+            return service
+
+        service = asyncio.run(scenario())
+        assert service.stats.pool_compiles == 0
+        assert service.stats.errors == 1
+
     def test_request_from_json_validation(self):
         with pytest.raises(ServiceRequestError, match="qasm"):
             CompileRequest.from_json({"target": "line-20"})
@@ -535,18 +553,6 @@ class TestServiceHTTP:
         assert results["shutdown"][0] == 200
 
 
-# ----------------------------------------------------------------------
-# The deprecated repro.parallel shim
-# ----------------------------------------------------------------------
-def test_parallel_shim_warns_on_import():
-    sys.modules.pop("repro.parallel", None)
-    with pytest.warns(DeprecationWarning, match="repro.parallel is deprecated"):
-        importlib.import_module("repro.parallel")
-    # Re-import from cache: no second warning, the export still works.
-    module = importlib.import_module("repro.parallel")
-    assert callable(module.run_experiment_cells)
-
-
 def test_topology_signature_distinguishes_devices():
     assert topology_signature(tiny_line(5)) != topology_signature(tiny_line(6))
-    assert canonical_options("baseline", {})  # smoke: defaults render
+    assert TranspileOptions.resolve("baseline").canonical()  # smoke: defaults render

@@ -206,7 +206,9 @@ class TestTranspileApi:
         assert by_level[1].circuit == legacy.circuit
 
     def test_optimize_and_level_are_mutually_exclusive(self, johannesburg_map):
-        with pytest.raises(TranspilerError):
+        # The legacy optimize= boolean is gone: optimization_level is the
+        # only spelling, and the old keyword is an unknown option.
+        with pytest.raises(TranspilerError, match="unknown transpile option"):
             transpile(
                 self._program(), johannesburg_map, optimize=True, optimization_level=1
             )
@@ -242,11 +244,11 @@ class TestTranspileApi:
 
     def test_pass_timings_are_exposed(self, johannesburg_map):
         result = transpile(self._program(), johannesburg_map, seed=2)
-        timings = result.pass_timings
-        assert timings, "transpile recorded no pass telemetry"
-        stages = {record["stage"] for record in timings}
+        spans = result.pass_spans
+        assert spans, "transpile recorded no pass telemetry"
+        stages = {span.attrs["stage"] for span in spans}
         assert {"decompose", "layout", "routing", "optimize"} <= stages
-        assert all(record["seconds"] >= 0 for record in timings)
+        assert all(span.duration >= 0 for span in spans)
 
 
 def random_test_circuits(count: int = 8, max_qubits: int = 6, gates: int = 12):
@@ -382,7 +384,7 @@ class TestOptimizationLevel3:
         # what the full monolithic pipeline produces for the same seed —
         # the optimisation is a pure cost cut, never a result change.
         from repro.compiler.pipeline import (
-            _TranspileContext,
+            TranspileOptions,
             _build_partial_manager,
             _candidate_seeds,
             _seed_candidate,
@@ -393,24 +395,21 @@ class TestOptimizationLevel3:
         program = self._program()
         target = Target(johannesburg_map)
         for method in ("baseline", "trios"):
-            ctx = _TranspileContext(
-                target=target, layout="greedy", optimization_level=3, seed=5,
-                routing="stochastic", toffoli_mode="6cnot",
-                second_decomposition="mapping_aware", overlap_optimization=True,
-                edge_weights=None, validate_mode="full",
+            options = TranspileOptions.resolve(
+                method, optimization_level=3, seed=5, validate="full"
             )
             prefix_names, suffix_names = _split_stage_names(method)
             assert prefix_names, "every registered pipeline has a layout stage"
             assert suffix_names[0] == "layout"
             pre_circuit, pre_properties = _build_partial_manager(
-                prefix_names, ctx
+                prefix_names, target, options
             ).run(program)
             for candidate_seed in _candidate_seeds(5, 3):
                 reference = _seed_candidate(
-                    (ctx, method, program, None, candidate_seed)
+                    (target, options, program, None, candidate_seed)
                 )
                 reused = _seed_candidate(
-                    (ctx, method, pre_circuit, pre_properties, candidate_seed)
+                    (target, options, pre_circuit, pre_properties, candidate_seed)
                 )
                 assert canonical_bytes(reused[0]) == canonical_bytes(reference[0])
                 # cnots, depth, estimated success — the admissibility inputs.
