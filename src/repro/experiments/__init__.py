@@ -14,6 +14,7 @@ from .toffoli import (
 from .benchmarks import (
     BenchmarkComparison,
     BenchmarkExperimentResult,
+    RunConfig,
     compare_benchmark,
     run_benchmark_experiment,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "single_case",
     "BenchmarkComparison",
     "BenchmarkExperimentResult",
+    "RunConfig",
     "compare_benchmark",
     "run_benchmark_experiment",
     "SensitivityCurve",

@@ -5,22 +5,22 @@ of the four 20-qubit topologies of Figure 5, and the analytic success model
 (§2.6) is evaluated with error rates 20x better than the 2020-08-19
 Johannesburg calibration — exactly the setup the paper simulates.
 
-The sweep is embarrassingly parallel over its (topology, benchmark) cells:
-:func:`run_benchmark_experiment` accepts ``jobs`` (also exposed as the CLI's
-``--jobs``) and fans the cells out over a process pool.  Every cell compiles
-with the same deterministic seed it would receive serially, so ``jobs=8``
-reproduces ``jobs=1`` bit for bit.  Compilations are additionally memoized in
-a per-process, content-addressed cache (the service layer's sharded LRU,
-keyed by ``sha256(canonical QASM + topology signature + canonical
-options)``), so repeated sweeps — and the sensitivity study, which compiles
-the same circuits — reuse them.
+The sweep is embarrassingly parallel over its (topology, benchmark) cells,
+which run under a :class:`RunConfig` — the execution settings all three
+experiment drivers share.  Compilations are memoized in a per-process,
+content-addressed cache (the service layer's sharded LRU, keyed by
+``sha256(canonical QASM + topology signature + canonical options)``), so
+repeated sweeps — and the sensitivity study, which compiles the same
+circuits — reuse them.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from .. import obs
 from ..bench_circuits.suite import (
@@ -45,12 +45,33 @@ from ..runtime import (
 from ..service.cache import ShardedLRUCache
 from ..service.jobs import CompileJob, run_job_cached
 from ..sim import (
+    BACKEND_NAMES,
     EXACT_PROBABILITY_BACKENDS,
     StatevectorSimulator,
     get_backend,
     supports_exact_probabilities,
 )
 from .stats import geometric_mean, percent_reduction
+
+
+@dataclass
+class ExperimentResult:
+    """What every experiment driver's result holds besides its rows.
+
+    ``failures`` lists the cells the fault-tolerant runtime could not
+    complete (worker crashed, timed out, or kept raising) as explicit skip
+    records, so a partial run reports what is missing instead of crashing;
+    the aggregates cover only the surviving rows.
+    """
+
+    failures: List[CellFailure] = field(default_factory=list, kw_only=True)
+
+    def _rows(self) -> Iterable[Any]:
+        raise NotImplementedError
+
+    def all_pass_spans(self) -> List[obs.Span]:
+        """Every pass-telemetry span across the rows (``--profile-passes`` data)."""
+        return [span for row in self._rows() for span in row.pass_spans]
 
 
 @dataclass
@@ -65,10 +86,8 @@ class BenchmarkComparison:
     trios_success: float
     baseline_depth: int
     trios_depth: int
-    #: Per-pass telemetry spans of the two compilations (``--profile-passes``
-    #: data); ``None`` for rows built before the observability layer.
-    baseline_pass_spans: Optional[List[obs.Span]] = None
-    trios_pass_spans: Optional[List[obs.Span]] = None
+    #: Per-pass telemetry spans of the baseline compilation, then Trios'.
+    pass_spans: List[obs.Span] = field(default_factory=list)
 
     @property
     def cnot_reduction(self) -> float:
@@ -84,16 +103,11 @@ class BenchmarkComparison:
 
 
 @dataclass
-class BenchmarkExperimentResult:
+class BenchmarkExperimentResult(ExperimentResult):
     """All comparisons, indexed by topology label then benchmark label."""
 
     calibration_name: str
     comparisons: Dict[str, Dict[str, BenchmarkComparison]] = field(default_factory=dict)
-    #: Cells the fault-tolerant runtime could not complete (worker crashed,
-    #: timed out, or kept raising): explicit skip records, so a partial sweep
-    #: reports what is missing instead of crashing.  The geomean aggregates
-    #: below simply cover the surviving rows.
-    failures: List[CellFailure] = field(default_factory=list)
 
     def topologies(self) -> List[str]:
         return list(self.comparisons)
@@ -124,15 +138,8 @@ class BenchmarkExperimentResult:
         table = self.comparisons[topology]
         return [table[name] for name in table if name in TOFFOLI_BENCHMARKS]
 
-    def all_pass_spans(self) -> List[obs.Span]:
-        """Every pass-telemetry span across the sweep (both pipelines)."""
-        spans: List[obs.Span] = []
-        for table in self.comparisons.values():
-            for row in table.values():
-                for recorded in (row.baseline_pass_spans, row.trios_pass_spans):
-                    if recorded:
-                        spans.extend(recorded)
-        return spans
+    def _rows(self) -> Iterable[BenchmarkComparison]:
+        return (row for table in self.comparisons.values() for row in table.values())
 
 
 # ----------------------------------------------------------------------
@@ -141,13 +148,11 @@ class BenchmarkExperimentResult:
 #: The drivers' compile memoization — the same bounded, sharded,
 #: content-addressed LRU the compile service uses (one implementation, one
 #: key recipe: ``sha256(canonical QASM + topology signature + canonical
-#: options)``).  Content addressing subsumes the old (benchmark, topology,
-#: method, seed) tuple *and* closes its two bugs: the cache no longer grows
-#: without bound in a long-lived process, and two calls differing in any
-#: semantic transpile option (``optimization_level``, ``toffoli_mode``, ...)
-#: can never collide on one entry.  Both pipelines are deterministic given a
-#: seed, so caching never changes results.  The cache is per process; pool
-#: workers each warm their own copy.
+#: options)``).  Keying by content bounds the cache in a long-lived process
+#: and keeps two calls differing in any semantic transpile option
+#: (``optimization_level``, ``toffoli_mode``, ...) on separate entries.  Both
+#: pipelines are deterministic given a seed, so caching never changes
+#: results.  The cache is per process; pool workers each warm their own copy.
 _COMPILE_CACHE = ShardedLRUCache(name="compile")
 
 
@@ -205,18 +210,118 @@ def ideal_expected_outcome(logical: QuantumCircuit) -> str:
     return max(ideal, key=ideal.get)
 
 
+#: Every name :func:`repro.sim.get_backend` accepts, aliases included.
+SIMULATION_BACKENDS = frozenset(BACKEND_NAMES + EXACT_PROBABILITY_BACKENDS)
+
+
 def require_exact_capable_backend(backend: str) -> None:
     """Reject ``exact=True`` with a backend that has no analytic distribution.
 
     Validates the *name* against :data:`repro.sim.EXACT_PROBABILITY_BACKENDS`
-    so the sweeps (and the Toffoli driver) fail up front — before any
-    compilation or process-pool fan-out — instead of erroring per cell.
+    so the drivers fail up front — before any compilation or process-pool
+    fan-out — instead of erroring per cell.
     """
     if backend.lower() not in EXACT_PROBABILITY_BACKENDS:
         raise ReproError(
             f"exact=True requires a backend with analytic run_probabilities "
             f"({', '.join(EXACT_PROBABILITY_BACKENDS)}); got {backend!r}"
         )
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """How an experiment driver executes its cells.
+
+    The Toffoli, benchmark and sensitivity drivers take these settings as
+    keywords (``run_benchmark_experiment(backend="ptm", exact=True,
+    jobs=4)``) and build one config from them.  Every value is checked here,
+    before any circuit is built or compiled.
+
+    Attributes:
+        backend: ``"analytic"`` evaluates the paper's closed-form success
+            model (§2.6); any registered :class:`~repro.sim.SimulationBackend`
+            name (``"failure"``, ``"trajectory"``, ``"density"``, ``"ptm"``,
+            ``"ideal"``) instead simulates the compiled circuits.  The
+            Toffoli driver calls this its ``sampler`` and has no analytic
+            model.
+        shots: Shots per compiled circuit when a sampling backend is
+            selected; ignored when ``exact`` is set.  At least 1.
+        exact: Record the backend's analytic success probabilities
+            (``run_probabilities``, zero shot variance) instead of sampled
+            frequencies; requires a probability-capable backend
+            (``"density"``, ``"ptm"`` or ``"ideal"``).
+        jobs: Worker processes for the cells; ``1`` runs serially, ``0``
+            uses all CPUs.  Results are identical either way: every cell
+            derives its randomness from the seed in its own payload, so a
+            cell that succeeds after retries is byte-identical to its
+            fault-free serial run.
+        timeout: Per-cell wall-clock seconds (pool mode) before a hung
+            cell's worker is killed and the cell retried; ``None`` disables.
+        retries: Extra attempts per faulted cell (crash, timeout, exception).
+        on_error: What a permanently failed cell does — ``"fail"`` aborts the
+            experiment, ``"skip"`` records it under the result's
+            ``failures``, ``"serial"`` additionally degrades to in-process
+            execution when the pool keeps breaking.
+        faults: Deterministic fault-injection plan (tests/benchmarks);
+            ``None`` honours the ``REPRO_FAULTS`` environment variable.
+    """
+
+    backend: str = "analytic"
+    shots: int = 2048
+    exact: bool = False
+    jobs: int = 1
+    timeout: Optional[float] = None
+    retries: int = 2
+    on_error: str = "skip"
+    faults: Optional[FaultPlan] = None
+
+    def __post_init__(self) -> None:
+        if self.backend != "analytic" and self.backend.lower() not in SIMULATION_BACKENDS:
+            raise ReproError(
+                f"unknown backend {self.backend!r}; available: analytic, "
+                f"{', '.join(BACKEND_NAMES)}"
+            )
+        if self.exact:
+            require_exact_capable_backend(self.backend)
+        if self.shots < 1:
+            raise ReproError(f"shots must be >= 1, got {self.shots}")
+        self.policy  # FailurePolicy checks timeout, retries and on_error
+        resolve_jobs(self.jobs)
+
+    @property
+    def policy(self) -> FailurePolicy:
+        return FailurePolicy(
+            timeout=self.timeout, retries=self.retries, on_error=self.on_error
+        )
+
+    def run(
+        self,
+        cell: Callable[[Any], Any],
+        payloads: Sequence[Any],
+        labels: Sequence[str],
+        span: str,
+        runner_label: str,
+        **attrs: Any,
+    ) -> Tuple[List[Any], List[CellFailure]]:
+        """Run ``cell`` over ``payloads`` on the fault-tolerant runtime.
+
+        The run sits under an ``experiment`` span named ``span`` carrying the
+        backend, ``jobs`` and ``attrs``.  Returns each cell's value in
+        payload order (``None`` for a failed cell) and the failed cells as
+        report records labelled by ``labels``.
+        """
+        obs.maybe_enable_from_env()
+        runner = CellRunner(
+            jobs=resolve_jobs(self.jobs),
+            policy=self.policy,
+            faults=self.faults if self.faults is not None else "env",
+            label=runner_label,
+        )
+        with obs.span(span, category="experiment", backend=self.backend,
+                      jobs=self.jobs, **attrs):
+            records = runner.run(payloads, cell)
+        values = [record.value if record.ok else None for record in records]
+        return values, failure_records(records, labels)
 
 
 def sampled_success(
@@ -274,24 +379,16 @@ def compare_benchmark(
         coupling_map: Target topology.
         calibration: Device error model.
         seed: Seed for the baseline's stochastic routing (and the sampler).
-        backend: ``"analytic"`` evaluates the paper's closed-form success
-            model (§2.6, the default); any registered
-            :class:`~repro.sim.SimulationBackend` name (``"failure"``,
-            ``"trajectory"``, ``"density"``, ``"ptm"``, ``"ideal"``) instead
-            *samples* the compiled circuits for ``shots`` shots.
-        shots: Shots per circuit when a sampling backend is selected.
+        backend, shots, exact: How success is measured; see
+            :class:`RunConfig`.
         expected: Precomputed :func:`ideal_expected_outcome` for sampling
             backends; computed on the fly when omitted.
         circuit: Already-built instance of the benchmark, so sweep callers
             construct each logical circuit once instead of once per cell.
-        exact: Evaluate analytic success probabilities via the backend's
-            ``run_probabilities`` (zero shot variance) instead of sampling;
-            requires a probability-capable backend such as ``"density"`` or ``"ptm"``.
     """
+    RunConfig(backend=backend, shots=shots, exact=exact)  # rejects bad settings
     if circuit is None:
         circuit = get_benchmark(benchmark)
-    if exact:
-        require_exact_capable_backend(backend)
     baseline = compile_benchmark_cached(benchmark, coupling_map, "baseline", seed, circuit)
     # Same routing policy and seed as the baseline so that Toffoli-free
     # circuits compile identically (the paper's "no effect" control).
@@ -302,13 +399,10 @@ def compare_benchmark(
     else:
         if expected is None:
             expected = ideal_expected_outcome(circuit)
-        baseline_success = sampled_success(
-            baseline, circuit, backend, calibration, shots, seed, expected,
-            exact=exact,
-        )
-        trios_success = sampled_success(
-            trios, circuit, backend, calibration, shots, seed, expected,
-            exact=exact,
+        baseline_success, trios_success = (
+            sampled_success(compiled, circuit, backend, calibration, shots,
+                            seed, expected, exact=exact)
+            for compiled in (baseline, trios)
         )
     return BenchmarkComparison(
         benchmark=benchmark,
@@ -319,23 +413,21 @@ def compare_benchmark(
         trios_success=trios_success,
         baseline_depth=baseline.depth,
         trios_depth=trios.depth,
-        baseline_pass_spans=baseline.pass_spans,
-        trios_pass_spans=trios.pass_spans,
+        pass_spans=baseline.pass_spans + trios.pass_spans,
     )
 
 
 def _benchmark_cell(
     payload: Tuple[str, CouplingMap, str, QuantumCircuit, DeviceCalibration,
-                   int, str, int, Optional[str], bool],
-) -> Tuple[str, str, Optional[BenchmarkComparison]]:
+                   int, Optional[str], RunConfig],
+) -> Optional[BenchmarkComparison]:
     """Evaluate one (topology, benchmark) cell; process-pool entry point."""
-    (label, coupling_map, benchmark, circuit, calibration, seed, backend,
-     shots, expected, exact) = payload
+    label, coupling_map, benchmark, circuit, calibration, seed, expected, run = payload
     try:
-        comparison = compare_benchmark(
+        return compare_benchmark(
             benchmark, coupling_map, calibration, seed,
-            backend=backend, shots=shots, expected=expected, circuit=circuit,
-            exact=exact,
+            backend=run.backend, shots=run.shots, expected=expected,
+            circuit=circuit, exact=run.exact,
         )
     except SimulationError as exc:
         # The selected sampling backend cannot simulate this compiled
@@ -345,8 +437,7 @@ def _benchmark_cell(
             f"skipping {benchmark} on {label}: {exc}", RuntimeWarning,
             stacklevel=2,
         )
-        return label, benchmark, None
-    return label, benchmark, comparison
+        return None
 
 
 def run_benchmark_experiment(
@@ -354,14 +445,7 @@ def run_benchmark_experiment(
     calibration: Optional[DeviceCalibration] = None,
     benchmarks: Optional[Sequence[str]] = None,
     seed: int = 11,
-    backend: str = "analytic",
-    shots: int = 2048,
-    jobs: int = 1,
-    exact: bool = False,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    on_error: str = "skip",
-    faults: Optional[FaultPlan] = None,
+    **run: Any,
 ) -> BenchmarkExperimentResult:
     """Run the full Figures 9-11 sweep on the fault-tolerant runtime.
 
@@ -370,100 +454,43 @@ def run_benchmark_experiment(
             paper's four devices.
         calibration: Error model; defaults to 20x-improved Johannesburg.
         benchmarks: Benchmark labels to include; defaults to all of Table 1.
-        seed: Seed for the baseline's stochastic routing.
-        backend: ``"analytic"`` (paper default) or a registered
-            :class:`~repro.sim.SimulationBackend` name to sample shot counts.
-        shots: Shots per circuit when a sampling backend is selected.
-        jobs: Worker processes for the (topology, benchmark) cells; ``1``
-            (the default) runs serially, ``0`` uses all CPUs.  Results are
-            identical either way (the exact backend's channels and simulator
-            pickle cleanly), and a cell that succeeds after retries is
-            byte-identical to its fault-free serial run (each cell derives
-            randomness from the seed carried in its own payload).
-        exact: Record the backend's analytic success probabilities instead
-            of sampled frequencies (zero shot variance); requires a
-            probability-capable backend such as ``"density"`` or ``"ptm"``.
-        timeout: Per-cell wall-clock seconds (pool mode) before a hung cell's
-            worker is killed and the cell retried; ``None`` disables.
-        retries: Extra attempts per faulted cell (crash, timeout, exception).
-        on_error: What a permanently failed cell does — ``"fail"`` aborts the
-            sweep (the pre-runtime behaviour), ``"skip"`` (default) records
-            it under :attr:`BenchmarkExperimentResult.failures`, ``"serial"``
-            additionally degrades to in-process execution when the pool keeps
-            breaking.
-        faults: Deterministic fault-injection plan (tests/benchmarks); by
-            default the ``REPRO_FAULTS`` environment variable is honoured.
+        seed: Seed for the baseline's stochastic routing (and the sampler).
+        **run: Execution settings (``backend``, ``shots``, ``exact``,
+            ``jobs``, ``timeout``, ``retries``, ``on_error``, ``faults``);
+            see :class:`RunConfig`.  Failed cells land in
+            :attr:`BenchmarkExperimentResult.failures`.
     """
+    config = RunConfig(**run)
     topologies = topologies or PAPER_TOPOLOGIES
     calibration = calibration or near_term_calibration()
     benchmarks = list(benchmarks or PAPER_BENCHMARKS)
-    if exact:
-        require_exact_capable_backend(backend)
-    obs.maybe_enable_from_env()
-    with obs.span(
-        "benchmark_experiment",
-        category="experiment",
-        backend=backend,
-        benchmarks=len(benchmarks),
-        jobs=jobs,
-    ):
-        return _run_benchmark_experiment(
-            topologies, calibration, benchmarks, seed, backend, shots, jobs,
-            exact, timeout, retries, on_error, faults,
-        )
-
-
-def _run_benchmark_experiment(
-    topologies: Mapping[str, Callable[[], CouplingMap]],
-    calibration: DeviceCalibration,
-    benchmarks: List[str],
-    seed: int,
-    backend: str,
-    shots: int,
-    jobs: int,
-    exact: bool,
-    timeout: Optional[float],
-    retries: int,
-    on_error: str,
-    faults: Optional[FaultPlan],
-) -> BenchmarkExperimentResult:
     result = BenchmarkExperimentResult(calibration_name=calibration.name)
     # Build each topology and each logical circuit exactly once per sweep.
     built = {label: builder() for label, builder in topologies.items()}
     circuits = {name: get_benchmark(name) for name in benchmarks}
     # The ideal expected outcome depends only on the logical circuit, so
     # compute it once per benchmark, not once per (topology, benchmark) cell.
-    expected_cache: Dict[str, str] = {}
+    expected: Dict[str, str] = {}
     payloads = []
     for label, coupling_map in built.items():
         result.comparisons[label] = {}
         for benchmark in benchmarks:
-            if circuits[benchmark].num_qubits > coupling_map.num_qubits:
+            circuit = circuits[benchmark]
+            if circuit.num_qubits > coupling_map.num_qubits:
                 continue
-            expected = None
-            if backend != "analytic":
-                if benchmark not in expected_cache:
-                    expected_cache[benchmark] = ideal_expected_outcome(
-                        circuits[benchmark]
-                    )
-                expected = expected_cache[benchmark]
+            if config.backend != "analytic" and benchmark not in expected:
+                expected[benchmark] = ideal_expected_outcome(circuit)
             payloads.append(
-                (label, coupling_map, benchmark, circuits[benchmark],
-                 calibration, seed, backend, shots, expected, exact)
+                (label, coupling_map, benchmark, circuit, calibration, seed,
+                 expected.get(benchmark), config)
             )
-    runner = CellRunner(
-        jobs=resolve_jobs(jobs),
-        policy=FailurePolicy(timeout=timeout, retries=retries, on_error=on_error),
-        faults=faults if faults is not None else "env",
-        label="benchmark sweep",
+    cells = [(label, benchmark) for label, _, benchmark, *_rest in payloads]
+    comparisons, result.failures = config.run(
+        _benchmark_cell, payloads, [f"{label}|{benchmark}" for label, benchmark in cells],
+        span="benchmark_experiment", runner_label="benchmark sweep",
+        benchmarks=len(benchmarks),
     )
-    records = runner.run(payloads, _benchmark_cell)
-    labels = [f"{label}|{benchmark}" for (label, _, benchmark, *_rest) in payloads]
-    result.failures = failure_records(records, labels)
-    for record in records:
-        if not record.ok:
-            continue
-        label, benchmark, comparison = record.value
+    for (label, benchmark), comparison in zip(cells, comparisons):
         if comparison is not None:
             result.comparisons[label][benchmark] = comparison
     return result

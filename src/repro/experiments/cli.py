@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from .. import obs
 from ..bench_circuits import all_benchmark_statistics
@@ -55,25 +55,38 @@ from .report import (
 from .sensitivity import run_sensitivity_experiment
 from .toffoli import run_toffoli_experiment
 
-def _resolve_exact_backend(backend: str, exact: bool) -> str:
-    """Pick the backend that serves ``--exact``.
 
-    ``--exact`` needs a backend with analytic ``run_probabilities``
-    (:data:`repro.sim.EXACT_PROBABILITY_BACKENDS`); when the selected one
-    cannot provide it — including the ``analytic`` closed-form model and the
-    shot samplers — the density-matrix backend is substituted, with a printed
-    note so the swap is never silent.
+def _add_run_flags(parser: argparse.ArgumentParser, cells: str,
+                   sampler: bool = False) -> None:
+    """The :class:`~repro.experiments.benchmarks.RunConfig` flags (plus
+    ``--profile-passes``) shared by the experiment subcommands.
+
+    ``sampler`` selects the Toffoli spelling: ``--sampler``, a simulation
+    backend defaulting to ``failure``, instead of ``--backend``.
     """
-    if not exact or backend in EXACT_PROBABILITY_BACKENDS:
-        return backend
-    print(f"note: --exact needs analytic probabilities; using the 'density' "
-          f"backend instead of {backend!r}\n")
-    return "density"
-
-
-def _add_fault_tolerance_flags(parser: argparse.ArgumentParser,
-                               cells: str) -> None:
-    """The fault-tolerant runtime's knobs, shared by every sweep subcommand."""
+    if sampler:
+        parser.add_argument("--sampler", default="failure",
+                            choices=list(BACKEND_NAMES),
+                            help="simulation backend (default: failure)")
+    else:
+        parser.add_argument("--backend", default="analytic",
+                            choices=["analytic", *BACKEND_NAMES],
+                            help="success model: analytic (paper) or a "
+                                 "simulator")
+    parser.add_argument("--shots", type=int, default=2048,
+                        help="shots per compiled circuit for sampling "
+                             "backends (default 2048)")
+    parser.add_argument("--exact", action="store_true",
+                        help="record analytic success probabilities (zero "
+                             "shot variance) instead of sampled frequencies; "
+                             "implies the density-matrix backend unless an "
+                             "exact-capable one is selected")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help=f"worker processes for the {cells}s (default "
+                             "1 = serial, 0 = all CPUs; results are "
+                             "identical)")
+    parser.add_argument("--profile-passes", action="store_true",
+                        help="print the per-pass time / gate-delta table")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                         help=f"wall-clock timeout per {cells} (pool mode); a "
                              "hung worker is killed and the cell retried")
@@ -89,8 +102,28 @@ def _add_fault_tolerance_flags(parser: argparse.ArgumentParser,
                              "breaking")
 
 
+def _run_options(args: argparse.Namespace) -> Dict[str, object]:
+    """The run keywords for an experiment driver, from its parsed flags.
+
+    ``--exact`` needs a backend with analytic ``run_probabilities``
+    (:data:`repro.sim.EXACT_PROBABILITY_BACKENDS`); when the selected one
+    cannot provide it — including the ``analytic`` closed-form model and the
+    shot samplers — the density-matrix backend is substituted, with a printed
+    note so the swap is never silent.
+    """
+    key = "sampler" if args.command == "toffoli" else "backend"
+    backend = getattr(args, key)
+    if args.exact and backend not in EXACT_PROBABILITY_BACKENDS:
+        print(f"note: --exact needs analytic probabilities; using the 'density' "
+              f"backend instead of {backend!r}\n")
+        backend = "density"
+    return {key: backend, "shots": args.shots, "exact": args.exact,
+            "jobs": args.jobs, "timeout": args.timeout,
+            "retries": args.retries, "on_error": args.on_error}
+
+
 def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
-    """The tracing knob, shared by every subcommand."""
+    """The tracing knob every subcommand takes."""
     parser.add_argument("--trace", default=None, metavar="OUT.json",
                         dest="trace",
                         help="record hierarchical spans (compiler passes, "
@@ -118,11 +151,15 @@ def _finish_trace(trace_path: Optional[str]) -> None:
         print(f"\n[trace] wrote {count} span(s) to {trace_path}")
 
 
-def _print_failures(failures) -> None:
-    if failures:
-        print(f"\n[failures] {len(failures)} cell(s) did not complete "
+def _print_epilogue(result, args: argparse.Namespace) -> None:
+    """An experiment's failure table, then its ``--profile-passes`` table."""
+    if result.failures:
+        print(f"\n[failures] {len(result.failures)} cell(s) did not complete "
               f"(aggregates cover the surviving cells)\n")
-        print(format_failure_summary(failures))
+        print(format_failure_summary(result.failures))
+    if args.profile_passes:
+        print("\n[Pass profile] per-pass compile time and gate delta\n")
+        print(format_pass_profile(result.all_pass_spans()))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,56 +171,25 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="list the registered simulation backends and exit")
     subparsers = parser.add_subparsers(dest="command")
 
-    table1 = subparsers.add_parser("table1", help="Table 1: benchmark inventory")
-    _add_observability_flags(table1)
-
-    exact_help = ("record analytic success probabilities (zero shot variance) "
-                  "instead of sampled frequencies; implies the density-matrix "
-                  "backend unless an exact-capable one is selected")
+    subparsers.add_parser("table1", help="Table 1: benchmark inventory")
 
     toffoli = subparsers.add_parser(
         "toffoli", help="Figures 6-8: single-Toffoli experiment on Johannesburg"
     )
     toffoli.add_argument("--triplets", type=int, default=35,
                          help="number of random qubit triplets (default 35)")
-    toffoli.add_argument("--shots", type=int, default=2048,
-                         help="shots per compiled circuit (default 2048)")
     toffoli.add_argument("--seed", type=int, default=0, help="random seed")
-    toffoli.add_argument("--sampler", default="failure",
-                         choices=list(BACKEND_NAMES),
-                         help="simulation backend (default: failure)")
-    toffoli.add_argument("--exact", action="store_true", help=exact_help)
-    toffoli.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for the per-triplet cells "
-                              "(default 1 = serial, 0 = all CPUs; results "
-                              "are identical)")
-    toffoli.add_argument("--profile-passes", action="store_true",
-                         help="print the per-pass time / gate-delta table")
-    _add_fault_tolerance_flags(toffoli, "triplet")
-    _add_observability_flags(toffoli)
+    _add_run_flags(toffoli, "triplet", sampler=True)
 
     benchmarks = subparsers.add_parser(
         "benchmarks", help="Figures 9-11: benchmark suite on the four topologies"
     )
     benchmarks.add_argument("--seed", type=int, default=11, help="routing seed")
-    benchmarks.add_argument("--backend", default="analytic",
-                            choices=["analytic", *BACKEND_NAMES],
-                            help="success model: analytic (paper) or a simulator")
-    benchmarks.add_argument("--shots", type=int, default=2048,
-                            help="shots per circuit for sampling backends")
-    benchmarks.add_argument("--exact", action="store_true", help=exact_help)
-    benchmarks.add_argument("--jobs", type=int, default=1,
-                            help="worker processes for the sweep cells "
-                                 "(default 1 = serial, 0 = all CPUs; "
-                                 "results are identical)")
     benchmarks.add_argument("--benchmarks", nargs="+", metavar="NAME",
                             default=None,
                             help="restrict the sweep to these Table 1 "
                                  "benchmarks (default: all)")
-    benchmarks.add_argument("--profile-passes", action="store_true",
-                            help="print the per-pass time / gate-delta table")
-    _add_fault_tolerance_flags(benchmarks, "sweep cell")
-    _add_observability_flags(benchmarks)
+    _add_run_flags(benchmarks, "sweep cell")
 
     sensitivity = subparsers.add_parser(
         "sensitivity", help="Figure 12: sensitivity to device error rates"
@@ -193,19 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0],
         help="error-rate improvement factors",
     )
-    sensitivity.add_argument("--backend", default="analytic",
-                             choices=["analytic", *BACKEND_NAMES],
-                             help="success model: analytic (paper) or a simulator")
-    sensitivity.add_argument("--shots", type=int, default=2048,
-                             help="shots per circuit for sampling backends")
-    sensitivity.add_argument("--exact", action="store_true", help=exact_help)
-    sensitivity.add_argument("--jobs", type=int, default=1,
-                             help="worker processes for the per-benchmark "
-                                  "curves (default 1 = serial, 0 = all CPUs)")
-    sensitivity.add_argument("--profile-passes", action="store_true",
-                             help="print the per-pass time / gate-delta table")
-    _add_fault_tolerance_flags(sensitivity, "benchmark curve")
-    _add_observability_flags(sensitivity)
+    _add_run_flags(sensitivity, "benchmark curve")
 
     compile_cmd = subparsers.add_parser(
         "compile",
@@ -235,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="worker processes for the level-3 seed "
                                   "search (only with --opt-level 3; "
                                   "0 = all CPUs)")
-    _add_observability_flags(compile_cmd)
 
     lint = subparsers.add_parser(
         "lint",
@@ -268,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="compile and lint every Fig 9/10 sweep cell "
                            "(all benchmarks x topologies x both pipelines); "
                            "the CI lint gate")
-    _add_observability_flags(lint)
 
     serve = subparsers.add_parser(
         "serve",
@@ -298,21 +290,16 @@ def _build_parser() -> argparse.ArgumentParser:
                             "hung worker is killed and the compile retried")
     serve.add_argument("--retries", type=int, default=1,
                        help="extra attempts per faulted compile (default 1)")
-    _add_observability_flags(serve)
 
-    run_all = subparsers.add_parser("all", help="Run everything (may take a minute)")
-    _add_observability_flags(run_all)
+    subparsers.add_parser("all", help="Run everything (may take a minute)")
+    for subparser in subparsers.choices.values():
+        _add_observability_flags(subparser)
     return parser
 
 
-def _run_table1() -> None:
+def _run_table1(args: argparse.Namespace) -> None:
     print("[Table 1] Benchmark inventory (measured vs paper)\n")
     print(format_table1(all_benchmark_statistics()))
-
-
-def _print_pass_profile(result) -> None:
-    print("\n[Pass profile] per-pass compile time and gate delta\n")
-    print(format_pass_profile(result.all_pass_spans()))
 
 
 def _list_backends() -> None:
@@ -322,16 +309,10 @@ def _list_backends() -> None:
         print(f"  {name:12s} [{capability:7s}] {BACKEND_DESCRIPTIONS[name]}")
 
 
-def _run_toffoli(triplets: int, shots: int, seed: int, sampler: str = "failure",
-                 exact: bool = False, profile_passes: bool = False,
-                 jobs: int = 1, timeout: Optional[float] = None,
-                 retries: int = 2, on_error: str = "skip") -> None:
-    sampler = _resolve_exact_backend(sampler, exact)
-    result = run_toffoli_experiment(num_triplets=triplets, shots=shots, seed=seed,
-                                    sampler=sampler, exact=exact, jobs=jobs,
-                                    timeout=timeout, retries=retries,
-                                    on_error=on_error)
-    note = " (exact probabilities, zero shot variance)" if exact else ""
+def _run_toffoli(args: argparse.Namespace) -> None:
+    result = run_toffoli_experiment(num_triplets=args.triplets, seed=args.seed,
+                                    **_run_options(args))
+    note = " (exact probabilities, zero shot variance)" if args.exact else ""
     print("[Figure 7] CNOT gate counts\n")
     print(format_toffoli_gate_counts(result))
     print(f"\n[Figure 6] Success probabilities{note}\n")
@@ -341,72 +322,42 @@ def _run_toffoli(triplets: int, shots: int, seed: int, sampler: str = "failure",
     print(f"\nGeomean gate reduction: {result.gate_reduction() * 100:.1f}% (paper: 35%)")
     print(f"Geomean success increase: {(result.geomean_improvement() - 1) * 100:.1f}% "
           f"(paper: 23%)")
-    _print_failures(result.failures)
-    if profile_passes:
-        _print_pass_profile(result)
+    _print_epilogue(result, args)
 
 
-def _run_benchmarks(seed: int, backend: str = "analytic", shots: int = 2048,
-                    jobs: int = 1, benchmarks: Optional[Sequence[str]] = None,
-                    exact: bool = False, profile_passes: bool = False,
-                    timeout: Optional[float] = None, retries: int = 2,
-                    on_error: str = "skip") -> None:
-    backend = _resolve_exact_backend(backend, exact)
-    result = run_benchmark_experiment(seed=seed, backend=backend, shots=shots,
-                                      jobs=jobs, benchmarks=benchmarks,
-                                      exact=exact, timeout=timeout,
-                                      retries=retries, on_error=on_error)
-    note = " (exact probabilities, zero shot variance)" if exact else ""
+def _run_benchmarks(args: argparse.Namespace) -> None:
+    result = run_benchmark_experiment(seed=args.seed, benchmarks=args.benchmarks,
+                                      **_run_options(args))
+    note = " (exact probabilities, zero shot variance)" if args.exact else ""
     print(f"[Figure 9] Simulated success probabilities{note}\n")
     print(format_benchmark_success(result))
     print("[Figure 10] CNOT reduction\n")
     print(format_benchmark_reduction(result))
     print(f"\n[Figure 11] Success normalised to the baseline{note}\n")
     print(format_benchmark_normalized(result))
-    _print_failures(result.failures)
-    if profile_passes:
-        _print_pass_profile(result)
+    _print_epilogue(result, args)
 
 
-def _run_sensitivity(factors: Sequence[float], backend: str = "analytic",
-                     shots: int = 2048, jobs: int = 1, exact: bool = False,
-                     profile_passes: bool = False,
-                     timeout: Optional[float] = None, retries: int = 2,
-                     on_error: str = "skip") -> None:
-    backend = _resolve_exact_backend(backend, exact)
-    result = run_sensitivity_experiment(factors=list(factors), backend=backend,
-                                        shots=shots, jobs=jobs, exact=exact,
-                                        timeout=timeout, retries=retries,
-                                        on_error=on_error)
-    note = " (exact probabilities)" if exact else ""
+def _run_sensitivity(args: argparse.Namespace) -> None:
+    result = run_sensitivity_experiment(factors=list(args.factors),
+                                        **_run_options(args))
+    note = " (exact probabilities)" if args.exact else ""
     print(f"[Figure 12] p_trios / p_baseline vs error-rate improvement{note}\n")
     print(format_sensitivity(result))
-    _print_failures(result.failures)
-    if profile_passes:
-        _print_pass_profile(result)
+    _print_epilogue(result, args)
 
 
-def _run_compile(benchmark: str, pipeline: str, topology: str, seed: int,
-                 optimization_level: int, seed_trials: Optional[int] = None,
-                 jobs: int = 1) -> None:
-    circuit = get_benchmark(benchmark)
-    coupling_map = by_name(topology)
-    extra = {}
-    if optimization_level >= 3:
-        extra = dict(seed_trials=seed_trials, jobs=jobs)
-    else:
-        # Forward explicitly-given search knobs even below level 3 so
-        # transpile()'s "has no effect" rejection surfaces instead of the
-        # CLI silently running a plain compile.
-        if seed_trials is not None:
-            extra["seed_trials"] = seed_trials
-        if jobs != 1:
-            extra["jobs"] = jobs
-    compiled = transpile(circuit, coupling_map, method=pipeline, seed=seed,
-                         optimization_level=optimization_level, **extra)
+def _run_compile(args: argparse.Namespace) -> None:
+    circuit = get_benchmark(args.benchmark)
+    # --seed-trials and --jobs go through even below level 3, so transpile()'s
+    # "has no effect" rejection surfaces instead of a silently plain compile.
+    compiled = transpile(circuit, by_name(args.topology), method=args.pipeline,
+                         seed=args.seed,
+                         optimization_level=args.optimization_level,
+                         seed_trials=args.seed_trials, jobs=args.jobs)
     calibration = near_term_calibration()
-    print(f"[compile] {benchmark} with the {pipeline!r} pipeline "
-          f"on {topology} (seed {seed}, O{optimization_level})\n")
+    print(f"[compile] {args.benchmark} with the {args.pipeline!r} pipeline "
+          f"on {args.topology} (seed {args.seed}, O{args.optimization_level})\n")
     print(f"  qubits (logical):      {circuit.num_qubits}")
     print(f"  CNOTs:                 {compiled.two_qubit_gate_count}")
     print(f"  depth:                 {compiled.depth}")
@@ -426,9 +377,7 @@ def _run_compile(benchmark: str, pipeline: str, topology: str, seed: int,
                   + ("" if record["admissible"] else " (inadmissible)"))
 
 
-def _run_serve(host: str, port: int, cache_mb: int, shards: int,
-               pool_jobs: int, batch_window: float, max_batch: int,
-               timeout: Optional[float], retries: int) -> int:
+def _run_serve(args: argparse.Namespace) -> int:
     """The ``repro serve`` subcommand: run the compile service until shutdown."""
     import asyncio
 
@@ -437,16 +386,17 @@ def _run_serve(host: str, port: int, cache_mb: int, shards: int,
     from ..service.http import serve as serve_http
 
     cache = ShardedLRUCache(
-        max_bytes=cache_mb * 1024 * 1024, shards=shards, name="compile"
+        max_bytes=args.cache_mb * 1024 * 1024, shards=args.shards, name="compile"
     )
     service = CompileService(
         cache=cache,
-        pool_jobs=pool_jobs,
-        batch_window=batch_window,
-        max_batch=max_batch,
-        policy=FailurePolicy(timeout=timeout, retries=retries, on_error="skip"),
+        pool_jobs=args.pool_jobs,
+        batch_window=args.batch_window,
+        max_batch=args.max_batch,
+        policy=FailurePolicy(timeout=args.timeout, retries=args.retries,
+                             on_error="skip"),
     )
-    asyncio.run(serve_http(service, host=host, port=port))
+    asyncio.run(serve_http(service, host=args.host, port=args.port))
     return 0
 
 
@@ -461,15 +411,12 @@ def _print_report(report, output_format: str) -> None:
         print(report.to_table())
 
 
-def _run_lint(paths: Sequence[str], benchmark: Optional[str], pipeline: str,
-              topology: str, seed: int, optimization_level: int,
-              output_format: str, suppress: Sequence[str],
-              fig9_10: bool, no_target: bool) -> int:
+def _run_lint(args: argparse.Namespace) -> int:
     """The ``repro lint`` subcommand; returns the process exit code."""
     from ..analysis import CircuitLinter
     from ..circuits.qasm import from_qasm
 
-    if not paths and benchmark is None and not fig9_10:
+    if not args.paths and args.benchmark is None and not args.fig9_10:
         print("nothing to lint: give QASM paths, --benchmark or --fig9-10",
               file=sys.stderr)
         return 2
@@ -477,30 +424,31 @@ def _run_lint(paths: Sequence[str], benchmark: Optional[str], pipeline: str,
     failed = False
     reports = []
 
-    for path in paths:
+    for path in args.paths:
         with open(path, "r", encoding="utf-8") as handle:
             circuit = from_qasm(handle.read())
-        target = None if no_target else by_name(topology)
-        linter = CircuitLinter(target=target, suppress=suppress)
+        target = None if args.no_target else by_name(args.topology)
+        linter = CircuitLinter(target=target, suppress=args.suppress)
         reports.append(linter.lint(circuit, name=path))
 
-    if benchmark is not None:
+    if args.benchmark is not None:
         result = transpile(
-            get_benchmark(benchmark), by_name(topology), method=pipeline,
-            seed=seed, optimization_level=optimization_level,
+            get_benchmark(args.benchmark), by_name(args.topology),
+            method=args.pipeline, seed=args.seed,
+            optimization_level=args.optimization_level,
         )
-        linter = CircuitLinter(suppress=suppress)
+        linter = CircuitLinter(suppress=args.suppress)
         reports.append(
-            linter.lint(result, name=f"{benchmark}|{topology}|{pipeline}")
+            linter.lint(result, name=f"{args.benchmark}|{args.topology}|{args.pipeline}")
         )
 
-    if fig9_10:
+    if args.fig9_10:
         # The Fig 9/10 sweep, cell for cell (same loop as
         # benchmarks/freeze_fig9_10_reference.py): every compiled output must
         # lint without error-severity findings.
         from ..bench_circuits import PAPER_BENCHMARKS
 
-        linter = CircuitLinter(suppress=suppress)
+        linter = CircuitLinter(suppress=args.suppress)
         cells = skipped = 0
         for label, builder in PAPER_TOPOLOGIES.items():
             coupling_map = builder()
@@ -511,8 +459,8 @@ def _run_lint(paths: Sequence[str], benchmark: Optional[str], pipeline: str,
                     continue
                 for method in ("baseline", "trios"):
                     result = transpile(
-                        circuit, coupling_map, method=method, seed=seed,
-                        optimization_level=optimization_level,
+                        circuit, coupling_map, method=method, seed=args.seed,
+                        optimization_level=args.optimization_level,
                     )
                     cells += 1
                     reports.append(
@@ -522,10 +470,10 @@ def _run_lint(paths: Sequence[str], benchmark: Optional[str], pipeline: str,
               f"({skipped} skipped: circuit wider than device)")
 
     for report in reports:
-        _print_report(report, output_format)
+        _print_report(report, args.output_format)
         if report.has_errors:
             failed = True
-    if len(reports) > 1 and output_format == "table":
+    if len(reports) > 1 and args.output_format == "table":
         errors = sum(len(r.errors()) for r in reports)
         print(f"\n[lint] {len(reports)} subjects, {errors} error-severity "
               f"finding(s) -> {'FAIL' if failed else 'OK'}")
@@ -552,48 +500,32 @@ def main(argv: Optional[List[str]] = None) -> int:
     return code
 
 
+def _run_all(args: argparse.Namespace) -> None:
+    """Table 1 and every figure, each experiment at its subcommand defaults."""
+    _run_table1(args)
+    parser = _build_parser()
+    for argv in (["toffoli", "--triplets", "20", "--shots", "1024"],
+                 ["benchmarks"], ["sensitivity"]):
+        print("\n")
+        _dispatch(parser.parse_args(argv))
+
+
+#: Every subcommand, run from its parsed flags; ``None`` means exit code 0.
+_COMMANDS: Dict[str, Callable[[argparse.Namespace], Optional[int]]] = {
+    "table1": _run_table1,
+    "toffoli": _run_toffoli,
+    "benchmarks": _run_benchmarks,
+    "sensitivity": _run_sensitivity,
+    "compile": _run_compile,
+    "serve": _run_serve,
+    "lint": _run_lint,
+    "all": _run_all,
+}
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     """Run the selected subcommand; returns its exit code."""
-    if args.command == "table1":
-        _run_table1()
-    elif args.command == "toffoli":
-        _run_toffoli(args.triplets, args.shots, args.seed, args.sampler,
-                     exact=args.exact, profile_passes=args.profile_passes,
-                     jobs=args.jobs, timeout=args.timeout,
-                     retries=args.retries, on_error=args.on_error)
-    elif args.command == "benchmarks":
-        _run_benchmarks(args.seed, args.backend, args.shots, args.jobs,
-                        benchmarks=args.benchmarks, exact=args.exact,
-                        profile_passes=args.profile_passes,
-                        timeout=args.timeout, retries=args.retries,
-                        on_error=args.on_error)
-    elif args.command == "sensitivity":
-        _run_sensitivity(args.factors, args.backend, args.shots, args.jobs,
-                         exact=args.exact, profile_passes=args.profile_passes,
-                         timeout=args.timeout, retries=args.retries,
-                         on_error=args.on_error)
-    elif args.command == "compile":
-        _run_compile(args.benchmark, args.pipeline, args.topology, args.seed,
-                     args.optimization_level, seed_trials=args.seed_trials,
-                     jobs=args.jobs)
-    elif args.command == "serve":
-        return _run_serve(args.host, args.port, args.cache_mb, args.shards,
-                          args.pool_jobs, args.batch_window, args.max_batch,
-                          args.timeout, args.retries)
-    elif args.command == "lint":
-        return _run_lint(args.paths, args.benchmark, args.pipeline,
-                         args.topology, args.seed, args.optimization_level,
-                         args.output_format, tuple(args.suppress),
-                         args.fig9_10, args.no_target)
-    elif args.command == "all":
-        _run_table1()
-        print("\n")
-        _run_toffoli(triplets=20, shots=1024, seed=0)
-        print("\n")
-        _run_benchmarks(seed=11)
-        print("\n")
-        _run_sensitivity([1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0])
-    return 0
+    return _COMMANDS[args.command](args) or 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

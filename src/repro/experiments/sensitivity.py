@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,18 +22,11 @@ from ..exceptions import SimulationError
 from ..hardware.calibration import DeviceCalibration, johannesburg_aug19_2020
 from ..hardware.library import johannesburg
 from ..hardware.topology import CouplingMap
-from ..runtime import (
-    CellFailure,
-    CellRunner,
-    FailurePolicy,
-    FaultPlan,
-    failure_records,
-    resolve_jobs,
-)
 from .benchmarks import (
+    ExperimentResult,
+    RunConfig,
     compile_benchmark_cached,
     ideal_expected_outcome,
-    require_exact_capable_backend,
     sampled_success,
 )
 
@@ -54,25 +47,18 @@ class SensitivityCurve:
 
 
 @dataclass
-class SensitivityResult:
+class SensitivityResult(ExperimentResult):
     """Figure 12: one curve per Toffoli-containing benchmark."""
 
     device: str
     factors: List[float]
     curves: Dict[str, SensitivityCurve] = field(default_factory=dict)
-    #: Curves the fault-tolerant runtime could not complete (worker crashed,
-    #: timed out, or kept raising) — explicit skip records for the report.
-    failures: List[CellFailure] = field(default_factory=list)
 
     def benchmarks(self) -> List[str]:
         return list(self.curves)
 
-    def all_pass_spans(self) -> List[obs.Span]:
-        """Every pass-telemetry span across the compiled benchmark pairs."""
-        spans: List[obs.Span] = []
-        for curve in self.curves.values():
-            spans.extend(curve.pass_spans)
-        return spans
+    def _rows(self) -> Iterable[SensitivityCurve]:
+        return self.curves.values()
 
 
 def default_factors(num_points: int = 9, maximum: float = 100.0) -> List[float]:
@@ -84,8 +70,8 @@ def _sensitivity_cell(
     payload,
 ) -> "Optional[SensitivityCurve]":
     """Evaluate one benchmark's whole curve; process-pool entry point."""
-    (benchmark, coupling_map, base_calibration, factors, seed, backend,
-     shots, exact) = payload
+    benchmark, coupling_map, base_calibration, factors, seed, run = payload
+    backend, shots = run.backend, run.shots
     circuit = get_benchmark(benchmark)
     # The circuits are compiled once — only the error model changes — and the
     # compilation is shared with the Figures 9-11 sweep via the compile cache.
@@ -99,28 +85,20 @@ def _sensitivity_cell(
             if backend == "analytic":
                 base_p = baseline.success_probability(calibration)
                 trios_p = trios.success_probability(calibration)
-            elif exact:
-                # Analytic probabilities carry no shot noise, so no floor is
-                # needed: a true zero stays zero (handled below).
-                base_p = sampled_success(
-                    baseline, circuit, backend, calibration, shots, seed,
-                    expected, exact=True,
-                )
-                trios_p = sampled_success(
-                    trios, circuit, backend, calibration, shots, seed,
-                    expected, exact=True,
-                )
             else:
-                # Floor at half a shot so a deep circuit that happens to
-                # score zero matches in a finite sample yields a large but
-                # finite ratio instead of poisoning the curve with inf.
-                floor = 1.0 / (2.0 * shots)
-                base_p = max(floor, sampled_success(
-                    baseline, circuit, backend, calibration, shots, seed, expected
-                ))
-                trios_p = max(floor, sampled_success(
-                    trios, circuit, backend, calibration, shots, seed, expected
-                ))
+                base_p, trios_p = (
+                    sampled_success(compiled, circuit, backend, calibration,
+                                    shots, seed, expected, exact=run.exact)
+                    for compiled in (baseline, trios)
+                )
+                if not run.exact:
+                    # Floor at half a shot so a deep circuit that happens to
+                    # score zero matches in a finite sample yields a large
+                    # but finite ratio instead of poisoning the curve with
+                    # inf.  Analytic probabilities carry no shot noise, so
+                    # there a true zero stays zero (handled below).
+                    floor = 1.0 / (2.0 * shots)
+                    base_p, trios_p = max(floor, base_p), max(floor, trios_p)
             if base_p <= 0:
                 ratios.append(float("inf") if trios_p > 0 else 1.0)
             else:
@@ -145,14 +123,7 @@ def run_sensitivity_experiment(
     benchmarks: Optional[Sequence[str]] = None,
     factors: Optional[Sequence[float]] = None,
     seed: int = 11,
-    backend: str = "analytic",
-    shots: int = 2048,
-    jobs: int = 1,
-    exact: bool = False,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    on_error: str = "skip",
-    faults: Optional[FaultPlan] = None,
+    **run: Any,
 ) -> SensitivityResult:
     """Reproduce Figure 12 on the Johannesburg topology.
 
@@ -162,60 +133,34 @@ def run_sensitivity_experiment(
         benchmarks: Benchmark labels (the Toffoli-containing set by default).
         factors: Error-rate improvement factors (log-spaced 1x-100x default).
         seed: Seed for the baseline's stochastic routing (and the sampler).
-        backend: ``"analytic"`` re-evaluates the closed-form model at each
-            factor (the paper's method, the default); any registered
-            :class:`~repro.sim.SimulationBackend` name instead re-samples the
-            compiled circuits under each scaled calibration.
-        shots: Shots per circuit when a sampling backend is selected.
-        jobs: Worker processes for the per-benchmark curves; ``1`` (the
-            default) runs serially, ``0`` uses all CPUs.  Results are
-            identical either way.
-        exact: Evaluate analytic success probabilities via the backend's
-            ``run_probabilities`` (zero shot variance, no shot-noise floor);
-            requires a probability-capable backend such as ``"density"`` or ``"ptm"``.
-        timeout: Per-curve wall-clock seconds (pool mode) before a hung
-            cell's worker is killed and the cell retried; ``None`` disables.
-        retries: Extra attempts per faulted curve.
-        on_error: ``"fail"`` aborts the study on a permanent failure,
-            ``"skip"`` (default) records it under
-            :attr:`SensitivityResult.failures`, ``"serial"`` additionally
-            degrades to in-process execution when the pool keeps breaking.
-        faults: Deterministic fault-injection plan; defaults to the
-            ``REPRO_FAULTS`` environment variable.
+        **run: Execution settings (``backend``, ``shots``, ``exact``,
+            ``jobs``, ``timeout``, ``retries``, ``on_error``, ``faults``);
+            see :class:`~repro.experiments.benchmarks.RunConfig`.  The
+            ``"analytic"`` default re-evaluates the closed-form model at each
+            factor (the paper's method); a simulator re-samples the compiled
+            circuits under each scaled calibration.  Failed curves land in
+            :attr:`SensitivityResult.failures`.
     """
+    config = RunConfig(**run)
     coupling_map = coupling_map or johannesburg()
     base_calibration = base_calibration or johannesburg_aug19_2020()
     benchmarks = list(benchmarks or TOFFOLI_BENCHMARKS)
     factors = list(factors or default_factors())
-    if exact:
-        require_exact_capable_backend(backend)
     result = SensitivityResult(device=coupling_map.name, factors=list(factors))
     fitting = [
         name for name in benchmarks
         if get_benchmark(name).num_qubits <= coupling_map.num_qubits
     ]
     payloads = [
-        (name, coupling_map, base_calibration, list(factors), seed, backend,
-         shots, exact)
+        (name, coupling_map, base_calibration, list(factors), seed, config)
         for name in fitting
     ]
-    runner = CellRunner(
-        jobs=resolve_jobs(jobs),
-        policy=FailurePolicy(timeout=timeout, retries=retries, on_error=on_error),
-        faults=faults if faults is not None else "env",
-        label="sensitivity study",
-    )
-    obs.maybe_enable_from_env()
-    with obs.span(
-        "sensitivity_experiment",
-        category="experiment",
-        backend=backend,
+    curves, result.failures = config.run(
+        _sensitivity_cell, payloads, fitting,
+        span="sensitivity_experiment", runner_label="sensitivity study",
         curves=len(payloads),
-        jobs=jobs,
-    ):
-        records = runner.run(payloads, _sensitivity_cell)
-    result.failures = failure_records(records, fitting)
-    for name, record in zip(fitting, records):
-        if record.ok and record.value is not None:
-            result.curves[name] = record.value
+    )
+    result.curves = {
+        name: curve for name, curve in zip(fitting, curves) if curve is not None
+    }
     return result

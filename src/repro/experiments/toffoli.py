@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..circuits.circuit import QuantumCircuit
@@ -29,17 +29,14 @@ from ..exceptions import ReproError, SimulationError
 from ..hardware.calibration import DeviceCalibration, johannesburg_aug19_2020
 from ..hardware.topology import CouplingMap
 from ..hardware.library import johannesburg
-from ..runtime import (
-    CellFailure,
-    CellRunner,
-    FailurePolicy,
-    FaultPlan,
-    failure_records,
-    resolve_jobs,
-)
 from ..service.jobs import CompileJob, run_job_cached
-from ..sim import get_backend
-from .benchmarks import _COMPILE_CACHE, require_exact_capable_backend
+from ..sim import BACKEND_NAMES, get_backend
+from .benchmarks import (
+    _COMPILE_CACHE,
+    SIMULATION_BACKENDS,
+    ExperimentResult,
+    RunConfig,
+)
 from .stats import geometric_mean
 
 #: The four compiler configurations of Figures 6 and 7, in plot order.
@@ -50,9 +47,8 @@ CONFIGURATIONS = (
     "Trios (8-CNOT Toffoli)",
 )
 
-#: Each configuration's (pipeline, transpile options) — the declarative form
-#: the content-addressed job API consumes, replacing the historical
-#: ``compile_baseline``/``compile_trios`` dispatch.
+#: Each configuration's (pipeline, transpile options), as the
+#: content-addressed job API consumes them.
 _CONFIGURATION_OPTIONS: Dict[str, Tuple[str, Dict[str, str]]] = {
     "Qiskit (baseline)": ("baseline", {"toffoli_mode": "6cnot"}),
     "Qiskit (8-CNOT Toffoli)": ("baseline", {"toffoli_mode": "8cnot"}),
@@ -107,7 +103,8 @@ class TripletResult:
     total_distance: int
     cnot_counts: Dict[str, int] = field(default_factory=dict)
     success_rates: Dict[str, float] = field(default_factory=dict)
-    pass_spans: Dict[str, List[obs.Span]] = field(default_factory=dict)
+    #: Per-pass telemetry spans of the four compilations, in plot order.
+    pass_spans: List[obs.Span] = field(default_factory=list)
 
     @property
     def label(self) -> str:
@@ -125,7 +122,7 @@ class TripletResult:
 
 
 @dataclass
-class ToffoliExperimentResult:
+class ToffoliExperimentResult(ExperimentResult):
     """Aggregated output of the Toffoli-only experiment."""
 
     device: str
@@ -134,9 +131,6 @@ class ToffoliExperimentResult:
     #: backend (zero shot variance) rather than sampled frequencies.
     exact: bool = False
     rows: List[TripletResult] = field(default_factory=list)
-    #: Triplets the fault-tolerant runtime could not complete (worker crashed,
-    #: timed out, or kept raising) — explicit skip records for the report.
-    failures: List[CellFailure] = field(default_factory=list)
 
     def geomean_cnots(self, configuration: str) -> float:
         return geometric_mean(row.cnot_counts[configuration] for row in self.rows)
@@ -156,13 +150,8 @@ class ToffoliExperimentResult:
         trios = self.geomean_cnots("Trios (8-CNOT Toffoli)")
         return 1.0 - trios / baseline
 
-    def all_pass_spans(self) -> List[obs.Span]:
-        """Every pass-telemetry span across triplets and configurations."""
-        spans: List[obs.Span] = []
-        for row in self.rows:
-            for recorded in row.pass_spans.values():
-                spans.extend(recorded)
-        return spans
+    def _rows(self) -> List[TripletResult]:
+        return self.rows
 
 
 def random_triplets(
@@ -178,7 +167,7 @@ def random_triplets(
 
 def _toffoli_cell(payload) -> Optional[TripletResult]:
     """Evaluate one triplet across the four configurations; pool entry point."""
-    index, triplet, coupling_map, calibration, shots, seed, sampler, exact = payload
+    index, triplet, coupling_map, calibration, seed, run = payload
     placement = {0: triplet[0], 1: triplet[1], 2: triplet[2]}
     row = TripletResult(
         triplet=tuple(triplet),
@@ -190,17 +179,17 @@ def _toffoli_cell(payload) -> Optional[TripletResult]:
                 configuration, coupling_map, placement, seed=seed + index
             )
             row.cnot_counts[configuration] = compiled.two_qubit_gate_count
-            row.pass_spans[configuration] = compiled.pass_spans
+            row.pass_spans.extend(compiled.pass_spans)
             measured = compiled.physical_qubits_of([0, 1, 2])
-            engine = get_backend(sampler, calibration, seed=seed + index)
+            engine = get_backend(run.backend, calibration, seed=seed + index)
             circuit = compiled.circuit.without(["measure"])
-            if exact:
+            if run.exact:
                 row.success_rates[configuration] = engine.run_probabilities(
                     circuit, measured_qubits=measured
                 ).get("111", 0.0)
             else:
                 counts = engine.run_counts(
-                    circuit, shots=shots, measured_qubits=measured
+                    circuit, shots=run.shots, measured_qubits=measured
                 )
                 row.success_rates[configuration] = counts.success_rate("111")
     except SimulationError as exc:
@@ -224,12 +213,7 @@ def run_toffoli_experiment(
     shots: int = 1024,
     seed: int = 0,
     sampler: str = "failure",
-    exact: bool = False,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    on_error: str = "skip",
-    faults: Optional[FaultPlan] = None,
+    **run: Any,
 ) -> ToffoliExperimentResult:
     """Run the §5.1 experiment on the noisy-hardware substitute.
 
@@ -239,33 +223,15 @@ def run_toffoli_experiment(
         triplets: Explicit qubit triplets; random ones are drawn if omitted.
         num_triplets: How many random triplets to draw (35 in Figure 6/7,
             99 in Figure 8).
-        shots: Shots per compiled circuit (the paper uses 8192 on hardware);
-            ignored when ``exact`` is set.
-        seed: Seed for triplet sampling, stochastic routing and the sampler.
-        sampler: Name of a registered :class:`~repro.sim.SimulationBackend` —
-            ``"failure"`` for the fast gate-failure model, ``"trajectory"``
-            for the stochastic-Pauli Monte Carlo (slower, more detailed),
-            ``"density"`` for exact density-matrix evolution, ``"ptm"`` for
-            the faster exact Pauli-transfer-matrix engine, or ``"ideal"``
-            for a noiseless control run.
-        exact: Record the backend's *analytic* |111⟩ probability
-            (``run_probabilities``) instead of a sampled frequency — zero
-            shot variance.  Requires a probability-capable backend
-            (``"density"``, ``"ptm"`` or ``"ideal"``).
-        jobs: Worker processes for the per-triplet cells; ``1`` (the default)
-            runs serially, ``0`` uses all CPUs.  Every cell derives its
-            randomness from ``seed + index``, so parallel runs are
-            bit-identical to serial ones.
-        timeout: Per-triplet wall-clock seconds (pool mode) before a hung
-            cell's worker is killed and the cell retried; ``None`` disables.
-        retries: Extra attempts per faulted triplet.
-        on_error: ``"fail"`` aborts the experiment on a permanent failure,
-            ``"skip"`` (default) records it under
-            :attr:`ToffoliExperimentResult.failures`, ``"serial"``
-            additionally degrades to in-process execution when the pool
-            keeps breaking.
-        faults: Deterministic fault-injection plan; defaults to the
-            ``REPRO_FAULTS`` environment variable.
+        shots: The config's ``shots`` (the paper uses 8192 on hardware).
+        seed: Seed for triplet sampling, stochastic routing and the sampler;
+            triplet ``i`` uses ``seed + i``.
+        sampler: The config's ``backend``: a registered simulation backend,
+            the gate-failure model by default.
+        **run: The other execution settings (``exact``, ``jobs``,
+            ``timeout``, ``retries``, ``on_error``, ``faults``); see
+            :class:`~repro.experiments.benchmarks.RunConfig`.  Failed
+            triplets land in :attr:`ToffoliExperimentResult.failures`.
 
     Triplets whose compiled circuits the selected backend cannot simulate
     (e.g. too many active qubits for the dense density matrix) are skipped
@@ -277,44 +243,33 @@ def run_toffoli_experiment(
     :class:`~repro.exceptions.ReproError` is raised if every triplet was
     skipped.
     """
+    if sampler.lower() not in SIMULATION_BACKENDS:
+        raise ReproError(
+            f"unknown sampler {sampler!r} (the Toffoli experiment has no "
+            f"analytic model); available: {', '.join(BACKEND_NAMES)}"
+        )
+    config = RunConfig(backend=sampler, shots=shots, **run)
     coupling_map = coupling_map or johannesburg()
     calibration = calibration or johannesburg_aug19_2020()
-    if exact:
-        require_exact_capable_backend(sampler)
     if triplets is None:
         triplets = random_triplets(coupling_map, num_triplets, seed)
     result = ToffoliExperimentResult(
-        device=coupling_map.name, shots=shots, exact=exact
+        device=coupling_map.name, shots=shots, exact=config.exact
     )
     payloads = [
-        (index, tuple(triplet), coupling_map, calibration, shots, seed,
-         sampler, exact)
+        (index, tuple(triplet), coupling_map, calibration, seed, config)
         for index, triplet in enumerate(triplets)
     ]
-    runner = CellRunner(
-        jobs=resolve_jobs(jobs),
-        policy=FailurePolicy(timeout=timeout, retries=retries, on_error=on_error),
-        faults=faults if faults is not None else "env",
-        label="toffoli experiment",
-    )
-    obs.maybe_enable_from_env()
-    with obs.span(
-        "toffoli_experiment",
-        category="experiment",
-        sampler=sampler,
+    rows, result.failures = config.run(
+        _toffoli_cell, payloads, [f"triplet {payload[1]}" for payload in payloads],
+        span="toffoli_experiment", runner_label="toffoli experiment",
         triplets=len(payloads),
-        jobs=jobs,
-    ):
-        records = runner.run(payloads, _toffoli_cell)
-    labels = [f"triplet {payload[1]}" for payload in payloads]
-    result.failures = failure_records(records, labels)
-    for record in records:
-        if record.ok and record.value is not None:
-            result.rows.append(record.value)
+    )
+    result.rows = [row for row in rows if row is not None]
     if not result.rows:
         raise ReproError(
             f"backend {sampler!r} could not simulate any of the "
-            f"{len(list(triplets))} triplets (see warnings); use a sampled "
+            f"{len(payloads)} triplets (see warnings); use a sampled "
             "backend, smaller placements, or a larger max_active_qubits"
         )
     # Present the rows sorted by decreasing distance, like the paper's figures.

@@ -40,6 +40,8 @@ from ..circuits.circuit import QuantumCircuit
 from ..exceptions import EquivalenceError, SimulationError
 from .statevector import StatevectorSimulator, statevector_fidelity
 from .unitary import (
+    UNITARY_ATOL,
+    UNITARY_RTOL,
     circuit_unitary,
     equal_up_to_global_phase,
     permutation_unitary,
@@ -51,6 +53,22 @@ MAX_UNITARY_QUBITS = 10
 
 #: Largest circuit compared via random statevectors when ``method="auto"``.
 MAX_STATEVECTOR_QUBITS = 20
+
+#: Smallest per-amplitude tolerance of the statevector method's exact
+#: (phase-sensitive) comparison: simulating a 20-qubit circuit accumulates
+#: rounding well above the unitary method's ``atol``.
+STATEVECTOR_MIN_ATOL = 1e-7
+
+#: The statevector method's phase-insensitive comparison demands fidelity at
+#: least ``1 - FIDELITY_SLACK * max(atol, FIDELITY_MIN_ATOL)``: a random
+#: input spreads any operator difference across all amplitudes, so the bound
+#: is on the overlap, not per entry.
+FIDELITY_SLACK = 10
+FIDELITY_MIN_ATOL = 1e-10
+
+#: Default fidelity a compiled circuit must reach against its logical source
+#: in :func:`routed_circuits_equivalent` / :func:`assert_routed_equivalent`.
+ROUTED_FIDELITY_FLOOR = 1.0 - 1e-7
 
 
 def _strippable(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -101,7 +119,7 @@ def _unitary_equivalent(
         unitary_b = perm.conj().T @ unitary_b
     if up_to_global_phase:
         return equal_up_to_global_phase(unitary_a, unitary_b, atol=atol)
-    return bool(np.allclose(unitary_a, unitary_b, atol=atol))
+    return bool(np.allclose(unitary_a, unitary_b, rtol=UNITARY_RTOL, atol=atol))
 
 
 def _statevector_equivalent(
@@ -116,10 +134,7 @@ def _statevector_equivalent(
     num_qubits = circuit_a.num_qubits
     rng = np.random.default_rng(seed)
     simulator = StatevectorSimulator(num_qubits_limit=num_qubits + 1)
-    # The deviation tolerated per amplitude is atol; random states spread any
-    # operator difference across 2^n amplitudes, so compare fidelities against
-    # a matching bound instead of entry-wise closeness.
-    fidelity_floor = 1.0 - max(atol, 1e-10) * 10
+    fidelity_floor = 1.0 - max(atol, FIDELITY_MIN_ATOL) * FIDELITY_SLACK
     for _ in range(trials):
         prep = _random_product_prep(num_qubits, rng)
         state_a = simulator.run(prep.copy().extend(circuit_a.instructions))
@@ -129,7 +144,8 @@ def _statevector_equivalent(
         if up_to_global_phase:
             if statevector_fidelity(state_a, state_b) < fidelity_floor:
                 return False
-        elif not np.allclose(state_a, state_b, atol=max(atol, 1e-7)):
+        elif not np.allclose(state_a, state_b, rtol=UNITARY_RTOL,
+                             atol=max(atol, STATEVECTOR_MIN_ATOL)):
             return False
     return True
 
@@ -140,7 +156,7 @@ def circuits_equivalent(
     final_permutation: Optional[Dict[int, int]] = None,
     *,
     up_to_global_phase: bool = True,
-    atol: float = 1e-8,
+    atol: float = UNITARY_ATOL,
     method: str = "auto",
     trials: int = 4,
     seed: int = 20260730,
@@ -203,7 +219,7 @@ def assert_unitary_equivalent(
     final_permutation: Optional[Dict[int, int]] = None,
     *,
     up_to_global_phase: bool = True,
-    atol: float = 1e-8,
+    atol: float = UNITARY_ATOL,
     max_qubits: int = 12,
     context: str = "",
 ) -> None:
@@ -241,7 +257,7 @@ def assert_unitary_equivalent(
     if up_to_global_phase:
         equal = equal_up_to_global_phase(unitary_a, unitary_b, atol=atol)
     else:
-        equal = bool(np.allclose(unitary_a, unitary_b, atol=atol))
+        equal = bool(np.allclose(unitary_a, unitary_b, rtol=UNITARY_RTOL, atol=atol))
     if equal:
         return
     deviation = phase_aligned_distance(unitary_a, unitary_b)
@@ -262,7 +278,7 @@ def routed_circuits_equivalent(
     trials: int = 3,
     seed: int = 7,
     max_active: int = 14,
-    fidelity_floor: float = 1.0 - 1e-7,
+    fidelity_floor: float = ROUTED_FIDELITY_FLOOR,
 ) -> float:
     """Check a compiled circuit against its logical source, layouts included.
 
@@ -343,7 +359,7 @@ def assert_routed_equivalent(
     trials: int = 3,
     seed: int = 7,
     max_active: int = 14,
-    fidelity_floor: float = 1.0 - 1e-7,
+    fidelity_floor: float = ROUTED_FIDELITY_FLOOR,
     context: str = "",
 ) -> None:
     """Assert a compilation preserved semantics; raise with the fidelity if not."""

@@ -15,6 +15,19 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..exceptions import SimulationError
 
+#: Default absolute per-entry tolerance when comparing two unitaries.
+UNITARY_ATOL = 1e-8
+
+#: Relative per-entry tolerance of every unitary and statevector comparison
+#: (numpy's ``allclose`` default, stated so it is visible).  Entries of a
+#: unitary or a normalised state have magnitude at most 1, so an entry may
+#: deviate by at most ``atol + UNITARY_RTOL``.
+UNITARY_RTOL = 1e-5
+
+#: How far from 1 the modulus of the global phase relating two unitaries may
+#: drift before they count as different (a true phase has modulus exactly 1).
+PHASE_MODULUS_TOL = 1e-6
+
 
 def circuit_unitary(circuit: QuantumCircuit, max_qubits: int = 12) -> np.ndarray:
     """The full ``2^n x 2^n`` unitary of a measurement-free circuit."""
@@ -65,7 +78,7 @@ def permutation_unitary(permutation: Dict[int, int], num_qubits: int) -> np.ndar
 
 
 def equal_up_to_global_phase(
-    matrix_a: np.ndarray, matrix_b: np.ndarray, atol: float = 1e-8
+    matrix_a: np.ndarray, matrix_b: np.ndarray, atol: float = UNITARY_ATOL
 ) -> bool:
     """Whether two unitaries are equal up to an overall complex phase."""
     if matrix_a.shape != matrix_b.shape:
@@ -73,11 +86,11 @@ def equal_up_to_global_phase(
     # Find the largest entry of matrix_b to fix the relative phase robustly.
     index = np.unravel_index(np.argmax(np.abs(matrix_b)), matrix_b.shape)
     if abs(matrix_b[index]) < atol:
-        return bool(np.allclose(matrix_a, matrix_b, atol=atol))
+        return bool(np.allclose(matrix_a, matrix_b, rtol=UNITARY_RTOL, atol=atol))
     phase = matrix_a[index] / matrix_b[index]
-    if abs(abs(phase) - 1.0) > 1e-6:
+    if abs(abs(phase) - 1.0) > PHASE_MODULUS_TOL:
         return False
-    return bool(np.allclose(matrix_a, matrix_b * phase, atol=atol))
+    return bool(np.allclose(matrix_a, matrix_b * phase, rtol=UNITARY_RTOL, atol=atol))
 
 
 def phase_aligned_distance(matrix_a: np.ndarray, matrix_b: np.ndarray) -> float:

@@ -1,5 +1,9 @@
 """Tests for the text circuit drawer and the command-line interface."""
 
+import argparse
+import contextlib
+from unittest import mock
+
 import pytest
 
 from repro.circuits import QuantumCircuit
@@ -143,3 +147,95 @@ class TestCli:
             ("RemoveIdentitiesPass", "optimize", 16, "+0"),
             ("TriosRouter", "routing", 4, "+14"),
         ]
+
+
+# ----------------------------------------------------------------------
+# The experiment subcommands' flag surface, pinned flag by flag
+# ----------------------------------------------------------------------
+BACKENDS = ["failure", "trajectory", "density", "ptm", "ideal"]
+ON_ERROR = ["fail", "skip", "serial"]
+
+#: (option strings, default, choices, type, nargs) per dest.
+RUN_FLAGS = {
+    "shots": (("--shots",), 2048, None, int, None),
+    "exact": (("--exact",), False, None, None, 0),
+    "jobs": (("--jobs",), 1, None, int, None),
+    "profile_passes": (("--profile-passes",), False, None, None, 0),
+    "timeout": (("--timeout",), None, None, float, None),
+    "retries": (("--retries",), 2, None, int, None),
+    "on_error": (("--on-error",), "skip", ON_ERROR, None, None),
+    "trace": (("--trace",), None, None, None, None),
+}
+
+EXPERIMENT_FLAGS = {
+    "toffoli": {
+        "triplets": (("--triplets",), 35, None, int, None),
+        "seed": (("--seed",), 0, None, int, None),
+        "sampler": (("--sampler",), "failure", BACKENDS, None, None),
+        **RUN_FLAGS,
+    },
+    "benchmarks": {
+        "seed": (("--seed",), 11, None, int, None),
+        "backend": (("--backend",), "analytic", ["analytic", *BACKENDS], None, None),
+        "benchmarks": (("--benchmarks",), None, None, None, "+"),
+        **RUN_FLAGS,
+    },
+    "sensitivity": {
+        "factors": (("--factors",), [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0],
+                    None, float, "+"),
+        "backend": (("--backend",), "analytic", ["analytic", *BACKENDS], None, None),
+        **RUN_FLAGS,
+    },
+}
+
+
+class TestCliSurface:
+    @pytest.mark.parametrize("command", sorted(EXPERIMENT_FLAGS))
+    def test_experiment_flags_are_pinned(self, command):
+        from repro.experiments.cli import _build_parser
+
+        parser = _build_parser()
+        (subparsers,) = [a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            action.dest: (tuple(action.option_strings), action.default,
+                          action.choices, action.type, action.nargs)
+            for action in subparsers.choices[command]._actions
+            if action.dest != "help"
+        }
+        assert flags == EXPERIMENT_FLAGS[command]
+
+    def test_all_runs_the_drivers_with_the_paper_settings(self, capsys):
+        from repro.experiments import cli
+
+        calls = {}
+
+        def driver(name):
+            def record(**kwargs):
+                calls[name] = kwargs
+                result = mock.MagicMock(failures=[])
+                result.gate_reduction.return_value = 0.35
+                result.geomean_improvement.return_value = 1.23
+                return result
+            return record
+
+        formatters = [name for name in dir(cli) if name.startswith("format_")]
+        with contextlib.ExitStack() as stack:
+            for name in formatters:
+                stack.enter_context(mock.patch.object(cli, name, lambda *a: ""))
+            stack.enter_context(mock.patch.object(cli, "all_benchmark_statistics",
+                                                  lambda: []))
+            for name in ("run_toffoli_experiment", "run_benchmark_experiment",
+                         "run_sensitivity_experiment"):
+                stack.enter_context(mock.patch.object(cli, name, driver(name)))
+            assert main(["all"]) == 0
+        run = dict(exact=False, jobs=1, timeout=None, retries=2, on_error="skip")
+        assert calls == {
+            "run_toffoli_experiment": dict(
+                num_triplets=20, shots=1024, seed=0, sampler="failure", **run),
+            "run_benchmark_experiment": dict(
+                seed=11, backend="analytic", shots=2048, benchmarks=None, **run),
+            "run_sensitivity_experiment": dict(
+                factors=[1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0],
+                backend="analytic", shots=2048, **run),
+        }

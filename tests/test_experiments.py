@@ -1,10 +1,13 @@
 """Tests for the experiment harnesses (Figures 6-12, Table 1)."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import pytest
 
 from repro.bench_circuits import all_benchmark_statistics
+from repro.exceptions import ExecutionError, ReproError
 from repro.experiments import (
     CONFIGURATIONS,
     compile_configuration,
@@ -156,3 +159,72 @@ class TestTable1Report:
         text = format_table1(all_benchmark_statistics())
         for name in ("cnx_dirty-11", "grovers-9", "bv-20"):
             assert name in text
+
+
+# ----------------------------------------------------------------------
+# Run settings are checked before anything is built
+# ----------------------------------------------------------------------
+TINY_SWEEP = dict(topologies={"ibmq-johannesburg": johannesburg},
+                  benchmarks=["cnx_inplace-4"])
+TINY_CURVE = dict(benchmarks=["cnx_inplace-4"], factors=[1.0, 10.0])
+REGISTERED = "failure, trajectory, density, ptm, ideal"
+
+
+class TestRunSettingsValidation:
+    @pytest.mark.parametrize("run, kwargs", [
+        (run_benchmark_experiment, TINY_SWEEP),
+        (run_sensitivity_experiment, TINY_CURVE),
+    ])
+    def test_unknown_backend_is_rejected(self, run, kwargs):
+        with pytest.raises(ReproError, match=f"'densty'.*{REGISTERED}"):
+            run(backend="densty", **kwargs)
+
+    @pytest.mark.parametrize("sampler", ["analytic", "densty"])
+    def test_toffoli_rejects_a_sampler_it_cannot_run(self, sampler):
+        with pytest.raises(ReproError, match=f"{sampler!r}.*{REGISTERED}"):
+            run_toffoli_experiment(triplets=[(0, 1, 2)], sampler=sampler)
+
+    @pytest.mark.parametrize("shots", [0, -8])
+    @pytest.mark.parametrize("run, kwargs", [
+        (run_benchmark_experiment, dict(backend="failure", **TINY_SWEEP)),
+        (run_sensitivity_experiment, dict(backend="failure", **TINY_CURVE)),
+        (run_toffoli_experiment, dict(triplets=[(0, 1, 2)])),
+    ])
+    def test_non_positive_shots_are_rejected(self, run, kwargs, shots):
+        with pytest.raises(ReproError, match="shots must be >= 1"):
+            run(shots=shots, **kwargs)
+
+    @pytest.mark.parametrize("bad", [
+        dict(on_error="bogus"), dict(retries=-1), dict(jobs=-1), dict(timeout=0),
+    ])
+    @pytest.mark.parametrize("run, builder", [
+        (run_benchmark_experiment, "repro.experiments.benchmarks.get_benchmark"),
+        (run_sensitivity_experiment, "repro.experiments.sensitivity.get_benchmark"),
+        (run_toffoli_experiment, "repro.experiments.toffoli.johannesburg"),
+    ])
+    def test_policy_errors_come_before_any_circuit_is_built(self, run, builder, bad):
+        with mock.patch(builder, side_effect=AssertionError("built before validating")):
+            with pytest.raises(ExecutionError):
+                run(**bad)
+
+
+class TestRunConfig:
+    def test_holds_exactly_the_eight_execution_settings(self):
+        from repro.experiments import RunConfig
+
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "backend", "shots", "exact", "jobs", "timeout", "retries",
+            "on_error", "faults",
+        ]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RunConfig().jobs = 2
+
+    def test_every_row_type_keeps_one_flat_pass_span_list(self):
+        toffoli = run_toffoli_experiment(triplets=[(0, 1, 2)], shots=16, seed=1)
+        sweep = run_benchmark_experiment(**TINY_SWEEP)
+        curves = run_sensitivity_experiment(**TINY_CURVE)
+        rows = [toffoli.rows[0], sweep.row("ibmq-johannesburg", "cnx_inplace-4"),
+                curves.curves["cnx_inplace-4"]]
+        for result, row in zip((toffoli, sweep, curves), rows):
+            assert isinstance(row.pass_spans, list) and row.pass_spans
+            assert result.all_pass_spans() == row.pass_spans
