@@ -57,7 +57,7 @@ class LintContext:
             node = node.next_node
             guard += 1
         #: Wires (qubits and encoded clbits) each reachable node touches.
-        self.wires_of: Dict[DagNode, List[int]] = {
+        self.wires_of: Dict[DagNode, Tuple[int, ...]] = {
             n: DagCircuit._wires_of(n.instruction) for n in self.linear
         }
 

@@ -12,8 +12,9 @@ integers and are only produced by ``measure`` instructions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import CircuitError
 from . import library
@@ -29,9 +30,19 @@ class Instruction:
     clbits: Tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        qubits = tuple(int(q) for q in self.qubits)
+        # ``operator.index`` accepts Python and numpy integers and refuses
+        # floats, which ``int`` would silently truncate.
+        try:
+            qubits = tuple(map(operator.index, self.qubits))
+            clbits = tuple(map(operator.index, self.clbits))
+        except TypeError:
+            raise CircuitError(
+                f"qubits and clbits must be sequences of integers, got qubits "
+                f"{self.qubits!r} and clbits {self.clbits!r} for gate "
+                f"{self.gate.name!r}"
+            ) from None
         object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "clbits", tuple(int(c) for c in self.clbits))
+        object.__setattr__(self, "clbits", clbits)
         if len(qubits) != self.gate.num_qubits:
             raise CircuitError(
                 f"gate {self.gate.name!r} expects {self.gate.num_qubits} qubits, "
@@ -75,6 +86,33 @@ def interaction_graph(
                 key = (min(qubits[i], qubits[j]), max(qubits[i], qubits[j]))
                 weights[key] = weights.get(key, 0) + weight
     return weights
+
+
+def asap_makespan(
+    instructions: Iterable[Instruction], duration_of: Callable[[Instruction], float]
+) -> float:
+    """Makespan of ``instructions`` under ASAP scheduling (shared by circuit and DAG).
+
+    Each instruction starts as soon as every qubit and clbit it touches is
+    free, and holds them for ``duration_of(instruction)``; parallelism is
+    otherwise unlimited.  The makespan is the length of the critical path.
+    """
+    makespan = 0.0
+    ready_qubit: Dict[int, float] = {}
+    ready_clbit: Dict[int, float] = {}
+    for instruction in instructions:
+        start = 0.0
+        for qubit in instruction.qubits:
+            start = max(start, ready_qubit.get(qubit, 0.0))
+        for clbit in instruction.clbits:
+            start = max(start, ready_clbit.get(clbit, 0.0))
+        end = start + float(duration_of(instruction))
+        for qubit in instruction.qubits:
+            ready_qubit[qubit] = end
+        for clbit in instruction.clbits:
+            ready_clbit[clbit] = end
+        makespan = max(makespan, end)
+    return makespan
 
 
 class QuantumCircuit:
@@ -135,7 +173,10 @@ class QuantumCircuit:
         clbits: Sequence[int] = (),
     ) -> "QuantumCircuit":
         """Append ``gate`` acting on ``qubits``; returns ``self`` for chaining."""
-        instruction = Instruction(gate, tuple(qubits), tuple(clbits))
+        return self.append_instruction(Instruction(gate, qubits, clbits))
+
+    def append_instruction(self, instruction: Instruction) -> "QuantumCircuit":
+        """Append an already-built instruction (validated against circuit size)."""
         for qubit in instruction.qubits:
             if not 0 <= qubit < self.num_qubits:
                 raise CircuitError(
@@ -145,10 +186,6 @@ class QuantumCircuit:
         if self._cache:
             self._cache.clear()
         return self
-
-    def append_instruction(self, instruction: Instruction) -> "QuantumCircuit":
-        """Append an already-built instruction (validated against circuit size)."""
-        return self.append(instruction.gate, instruction.qubits, instruction.clbits)
 
     def extend(self, instructions: Iterable[Instruction]) -> "QuantumCircuit":
         """Append every instruction from ``instructions``."""
@@ -251,8 +288,8 @@ class QuantumCircuit:
     def dag(self) -> "DagCircuit":
         """The circuit's dependency DAG, built once and shared (frozen).
 
-        The depth metric, the drawer, the scheduler and the success estimator
-        all consume this view instead of rebuilding a graph per call.  The
+        The drawer, ``circuit_layers`` and analysis passes run on a circuit
+        consume this view instead of rebuilding a graph per call.  The
         cached DAG is frozen (read-only); passes that rewrite the circuit use
         ``DagCircuit.from_circuit`` for a private mutable copy.  Appending to
         the circuit invalidates the cache.
@@ -375,7 +412,7 @@ class QuantumCircuit:
             raise CircuitError(
                 f"compose needs {other.num_qubits} target qubits, got {len(qubits)}"
             )
-        mapping = {i: int(q) for i, q in enumerate(qubits)}
+        mapping = dict(enumerate(qubits))
         for instruction in other.instructions:
             self.append(
                 instruction.gate,

@@ -28,7 +28,7 @@ from collections import defaultdict
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import CircuitError
-from .circuit import Instruction, QuantumCircuit, interaction_graph
+from .circuit import Instruction, QuantumCircuit, asap_makespan, interaction_graph
 from .gate import Gate
 
 
@@ -264,10 +264,10 @@ class DagCircuit:
     # Wire helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _wires_of(instruction: Instruction) -> List[int]:
-        wires = list(instruction.qubits)
-        wires.extend(_clbit_wire(c) for c in instruction.clbits)
-        return wires
+    def _wires_of(instruction: Instruction) -> Tuple[int, ...]:
+        if not instruction.clbits:
+            return instruction.qubits
+        return instruction.qubits + tuple(map(_clbit_wire, instruction.clbits))
 
     def wire_front(self, qubit: int) -> Optional[DagNode]:
         """First instruction on a wire (``qubit`` may also be a clbit wire key)."""
@@ -287,7 +287,7 @@ class DagCircuit:
         clbits: Sequence[int] = (),
     ) -> DagNode:
         """Append ``gate`` on ``qubits`` at the end of the DAG (mirrors the circuit API)."""
-        return self.append_instruction(Instruction(gate, tuple(qubits), tuple(clbits)))
+        return self.append_instruction(Instruction(gate, qubits, clbits))
 
     def append_instruction(self, instruction: Instruction) -> DagNode:
         """Append an already-built instruction; returns its new node."""
@@ -583,24 +583,12 @@ class DagCircuit:
 
         Returns:
             Total duration of the critical path (the schedule makespan under
-            ASAP scheduling with unlimited parallelism).
+            ASAP scheduling with unlimited parallelism; see
+            :func:`~repro.circuits.circuit.asap_makespan`).
         """
-        makespan = 0.0
-        ready_qubit: Dict[int, float] = {}
-        ready_clbit: Dict[int, float] = {}
-        for node in self._iter_nodes():
-            start = 0.0
-            for qubit in node.instruction.qubits:
-                start = max(start, ready_qubit.get(qubit, 0.0))
-            for clbit in node.instruction.clbits:
-                start = max(start, ready_clbit.get(clbit, 0.0))
-            end = start + float(duration_of(node.instruction))
-            for qubit in node.instruction.qubits:
-                ready_qubit[qubit] = end
-            for clbit in node.instruction.clbits:
-                ready_clbit[clbit] = end
-            makespan = max(makespan, end)
-        return makespan
+        return asap_makespan(
+            (node.instruction for node in self._iter_nodes()), duration_of
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

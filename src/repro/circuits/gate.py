@@ -141,13 +141,7 @@ class Gate:
         """Whether the gate is (numerically) the identity operation."""
         if not self.is_unitary:
             return False
-        mat = self.matrix()
-        dim = mat.shape[0]
-        # Compare up to global phase.
-        phase = mat[0, 0]
-        if abs(phase) < tol:
-            return False
-        return bool(np.allclose(mat / phase, np.eye(dim), rtol=0.0, atol=tol))
+        return identity_up_to_phase(self.matrix(), tol)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.params:
@@ -158,6 +152,44 @@ class Gate:
 
 #: Interned read-only matrices of parameter-free gates, keyed by name.
 _MATRIX_CACHE: Dict[str, np.ndarray] = {}
+
+
+def identity_up_to_phase(matrix: np.ndarray, tol: float) -> bool:
+    """Whether ``|m_ij / m_00 - δ_ij| <= tol`` for every entry (NaN fails).
+
+    This is ``np.allclose(m / m[0, 0], np.eye(n), rtol=0, atol=tol)`` as one
+    scalar loop, a fraction of the numpy call's cost on the 2x2 matrices the
+    peephole passes test.  The quotients are the bits numpy's division
+    produces (Python's complex ``/`` can differ in the last place) and the
+    modulus is libm's ``hypot``, as in ``np.hypot``.  numpy's vectorised
+    complex ``abs`` may round a modulus differently in the last bit, so a
+    verdict can differ from ``np.allclose`` only for a deviation within an
+    ulp of ``tol``.
+    """
+    rows = matrix.tolist()
+    phase = rows[0][0]
+    magnitude = abs(phase)
+    if magnitude < tol or not magnitude > 0.0:
+        return False  # too small to divide out, zero or NaN: never the identity
+    real, imag = phase.real, phase.imag
+    # numpy's division (Smith's method with a scaled reciprocal) divides by
+    # the larger part of the divisor.  After the swap a quotient's imaginary
+    # part comes out negated, which the modulus ignores.
+    swapped = abs(real) < abs(imag)
+    if swapped:
+        real, imag = imag, real
+    ratio = imag / real
+    scale = 1.0 / (real + imag * ratio)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            if swapped:
+                u, v = entry.imag, entry.real
+            else:
+                u, v = entry.real, entry.imag
+            deviation = complex((u + v * ratio) * scale - (i == j), (v - u * ratio) * scale)
+            if not abs(deviation) <= tol:
+                return False
+    return True
 
 
 # ----------------------------------------------------------------------

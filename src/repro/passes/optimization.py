@@ -14,7 +14,7 @@ cheaply.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -127,6 +127,11 @@ class CancelAdjacentInversesPass(TransformationPass):
         return dag
 
 
+#: Read-only start of every 1q run product in :class:`Consolidate1qRunsPass`.
+_IDENTITY_2X2 = np.eye(2, dtype=complex)
+_IDENTITY_2X2.setflags(write=False)
+
+
 class Consolidate1qRunsPass(TransformationPass):
     """Merge runs of single-qubit gates on a wire into a single ``u3`` gate.
 
@@ -147,8 +152,8 @@ class Consolidate1qRunsPass(TransformationPass):
     checks = ("gate_count_nonincreasing",)
 
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
-        # Per-qubit pending run: the nodes collected so far and their product.
-        pending: Dict[int, Tuple[List[DagNode], np.ndarray]] = {}
+        # Per-qubit pending run: [the nodes collected so far, their product].
+        pending: Dict[int, List] = {}
 
         def flush(qubit: int, anchor: Optional[DagNode]) -> None:
             run = pending.pop(qubit, None)
@@ -174,8 +179,13 @@ class Consolidate1qRunsPass(TransformationPass):
             instruction = node.instruction
             if instruction.gate.is_unitary and instruction.gate.num_qubits == 1:
                 qubit = instruction.qubits[0]
-                nodes, matrix = pending.get(qubit, ([], np.eye(2, dtype=complex)))
-                pending[qubit] = (nodes + [node], instruction.gate.matrix() @ matrix)
+                run = pending.get(qubit)
+                if run is None:
+                    run = pending[qubit] = [[], _IDENTITY_2X2]
+                run[0].append(node)
+                # Left-multiply onto the product, starting from the identity:
+                # the exact float sequence every frozen compile was made with.
+                run[1] = instruction.gate.matrix() @ run[1]
                 node = nxt
                 continue
             for qubit in instruction.qubits:

@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..circuits.gate import Gate
+from ..circuits.gate import Gate, identity_up_to_phase
 from ..exceptions import TranspilerError
 
 
@@ -71,8 +71,4 @@ IDENTITY_ATOL = 1e-10
 
 def matrix_is_identity(matrix: np.ndarray, atol: float = IDENTITY_ATOL) -> bool:
     """Whether a 2x2 unitary is the identity up to global phase."""
-    matrix = np.asarray(matrix, dtype=complex)
-    phase = matrix[0, 0]
-    if abs(phase) < atol:
-        return False
-    return bool(np.allclose(matrix / phase, np.eye(2), rtol=0.0, atol=atol))
+    return identity_up_to_phase(np.asarray(matrix, dtype=complex), atol)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .. import obs
-from ..circuits.circuit import QuantumCircuit
+from ..circuits.circuit import QuantumCircuit, asap_makespan
 from ..exceptions import SimulationError
 from ..hardware.calibration import DeviceCalibration
 
@@ -41,9 +41,6 @@ class SuccessEstimate:
 
 def circuit_duration(circuit: QuantumCircuit, calibration: DeviceCalibration) -> float:
     """Scheduled duration (µs) of a hardware-basis circuit under ASAP scheduling."""
-    # Reuse the circuit's shared, memoized DAG instead of rebuilding one per
-    # estimate (duration and success queries on the same circuit share it).
-    dag = circuit.dag()
 
     def duration_of(instruction) -> float:
         if instruction.gate.num_qubits >= 3:
@@ -53,7 +50,7 @@ def circuit_duration(circuit: QuantumCircuit, calibration: DeviceCalibration) ->
             )
         return calibration.gate_duration(instruction.name, instruction.qubits)
 
-    return dag.weighted_depth(duration_of)
+    return asap_makespan(circuit.instructions, duration_of)
 
 
 def estimate_success(

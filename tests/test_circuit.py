@@ -2,9 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.circuits import CircuitDag, QuantumCircuit, circuit_layers, from_qasm, to_qasm
+from repro.circuits import library
+from repro.circuits.circuit import Instruction
+from repro.circuits.dag import DagCircuit
 from repro.exceptions import CircuitError
 
 
@@ -47,6 +51,46 @@ class TestCircuitConstruction:
     def test_compose_size_mismatch(self):
         with pytest.raises(CircuitError):
             QuantumCircuit(3).compose(QuantumCircuit(2), qubits=[0])
+
+
+class TestIndexCoercion:
+    """Qubit and clbit indices must be integers; a float is an error, not truncated."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Instruction(library.cx_gate(), (0.9, 2.7)),
+            lambda: Instruction(library.h_gate(), (np.float64(1.0),)),
+            lambda: Instruction(library.measure_op(), (0,), (0.5,)),
+            lambda: Instruction(library.h_gate(), 1),
+            lambda: QuantumCircuit(3).append(library.h_gate(), [1.5]),
+            lambda: QuantumCircuit(3).measure(0, 1.5),
+            lambda: DagCircuit(3).append(library.cx_gate(), (2.2, 0.1)),
+            lambda: QuantumCircuit(3).compose(QuantumCircuit(1).h(0), [1.5]),
+        ],
+        ids=["instruction", "numpy-float", "clbit", "not-a-sequence",
+             "circuit-append", "circuit-measure", "dag-append", "compose"],
+    )
+    def test_non_integer_indices_rejected(self, build):
+        with pytest.raises(CircuitError, match="integers"):
+            build()
+
+    def test_numpy_integers_become_ints(self):
+        instruction = Instruction(
+            library.measure_op(), (np.int64(2),), (np.int32(1),)
+        )
+        assert instruction.qubits == (2,) and instruction.clbits == (1,)
+        assert type(instruction.qubits[0]) is int
+        assert type(instruction.clbits[0]) is int
+        circuit = QuantumCircuit(3).cx(np.int16(0), np.uint8(2))
+        assert circuit.instructions[0].qubits == (0, 2)
+
+    def test_append_instruction_keeps_the_range_check(self):
+        instruction = Instruction(library.cx_gate(), (0, 3))
+        with pytest.raises(CircuitError, match="out of range"):
+            QuantumCircuit(3).append_instruction(instruction)
+        circuit = QuantumCircuit(4).append_instruction(instruction)
+        assert circuit.instructions[0] is instruction
 
 
 class TestCircuitMetrics:

@@ -1,13 +1,18 @@
 """Unit tests for the gate library and gate matrices."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.circuits import Gate, gate_matrix
 from repro.circuits import library
+from repro.circuits.gate import IDENTITY_TOL
 from repro.exceptions import GateError
+from repro.passes.synthesis import IDENTITY_ATOL, matrix_is_identity
 
 
 ALL_FIXED_GATES = [
@@ -137,3 +142,137 @@ class TestGateProperties:
                 continue
             params = tuple(0.5 for _ in range(num_params.get(name, 0)))
             assert Gate(name, arity, params).matrix().shape == (2**arity, 2**arity)
+
+
+# ----------------------------------------------------------------------
+# Identity predicates against their numpy statement
+# ----------------------------------------------------------------------
+def _allclose_reference(matrix: np.ndarray, tol: float) -> bool:
+    """The oracle: the identity test as numpy states it."""
+    phase = matrix[0, 0]
+    if abs(phase) < tol:
+        return False
+    with np.errstate(all="ignore"):
+        return bool(np.allclose(matrix / phase, np.eye(len(matrix)), rtol=0.0, atol=tol))
+
+
+def _deviation(matrix: np.ndarray) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        return matrix / matrix[0, 0] - np.eye(len(matrix))
+
+
+def _hypot_reference(matrix: np.ndarray, tol: float) -> bool:
+    """The oracle with the modulus taken by ``np.hypot`` (libm) instead of ``abs``."""
+    if abs(matrix[0, 0]) < tol:
+        return False
+    deviation = _deviation(matrix)
+    return bool(np.all(np.hypot(deviation.real, deviation.imag) <= tol))
+
+
+def _moduli_straddle(matrix: np.ndarray, tol: float) -> bool:
+    """Whether numpy's complex ``abs`` and ``hypot`` put a deviation on both sides of ``tol``.
+
+    numpy's vectorised complex ``abs`` may round the last bit differently
+    from libm's ``hypot``; only then may the scalar predicates and
+    ``np.allclose`` disagree.
+    """
+    deviation = _deviation(matrix)
+    by_abs = np.abs(deviation) <= tol
+    by_hypot = np.hypot(deviation.real, deviation.imag) <= tol
+    return bool(np.any(by_abs != by_hypot))
+
+
+def _assert_matches_reference(matrix: np.ndarray, tol: float, verdict: bool) -> None:
+    assert verdict == _hypot_reference(matrix, tol)
+    assert verdict == _allclose_reference(matrix, tol) or _moduli_straddle(matrix, tol)
+
+
+def _ulps_from(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+@st.composite
+def _angles(draw, tol: float) -> float:
+    """A rotation angle: anywhere, zero of either sign, or a few ulps from ``tol``."""
+    near = st.builds(
+        _ulps_from,
+        st.sampled_from([tol, -tol, 2 * tol, -2 * tol]),
+        st.integers(-4, 4),
+    )
+    return draw(st.one_of(
+        st.floats(-2 * math.pi, 2 * math.pi),
+        near,
+        st.sampled_from([0.0, -0.0]),
+    ))
+
+
+@st.composite
+def _gates(draw, tol: float) -> Gate:
+    """``u3``/``rz`` and 4x4 rotations at angles around the tolerance."""
+    angle = _angles(tol)
+    kind = draw(st.sampled_from(["rz", "u3", "u3_balanced", "crz", "cp", "rzz"]))
+    if kind == "u3":
+        return library.u3_gate(draw(angle), draw(angle), draw(angle))
+    if kind == "u3_balanced":
+        # phi = -lam keeps the diagonal at the identity, so the verdict rests
+        # on the off-diagonal entries, whose two parts are of equal size.
+        phi = draw(st.floats(-math.pi, math.pi))
+        return library.u3_gate(draw(angle), phi, -phi)
+    return Gate(kind, 1 if kind == "rz" else 2, (draw(angle),))
+
+
+@st.composite
+def _matrices(draw, tol: float) -> np.ndarray:
+    """Gate matrices (up to 8x8) under a global phase, with edge-case entries."""
+    gate = draw(_gates(tol))
+    matrix = gate.matrix()
+    if draw(st.booleans()):
+        matrix = np.kron(library.rz_gate(draw(_angles(tol))).matrix(), matrix)
+    matrix = matrix * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    edit = draw(st.sampled_from(["none", "nan", "negative_zero", "tiny_phase"]))
+    row = draw(st.integers(0, len(matrix) - 1))
+    col = draw(st.integers(0, len(matrix) - 1))
+    if edit == "nan":
+        matrix[row, col] = draw(st.sampled_from(
+            [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.nan, math.nan)]
+        ))
+    elif edit == "negative_zero":
+        if row != col:
+            matrix[row, col] = complex(-0.0, -0.0)
+        matrix[0, 0] = complex(matrix[0, 0].real, -0.0)
+    elif edit == "tiny_phase":
+        # |m[0, 0]| a few ulps from the tolerance: the phase check decides.
+        magnitude = _ulps_from(tol, draw(st.integers(-4, 4)))
+        matrix = matrix * (magnitude / abs(matrix[0, 0]))
+    return matrix
+
+
+class TestIdentityPredicates:
+    """``Gate.is_identity`` and ``matrix_is_identity`` are scalar loops; numpy is the oracle."""
+
+    @given(data=st.data())
+    def test_gate_is_identity_matches_numpy(self, data):
+        tol = data.draw(st.sampled_from([IDENTITY_TOL, IDENTITY_ATOL]))
+        gate = data.draw(_gates(tol))
+        verdict = gate.is_identity() if tol == IDENTITY_TOL else gate.is_identity(tol)
+        _assert_matches_reference(gate.matrix(), tol, verdict)
+
+    @given(data=st.data())
+    def test_matrix_is_identity_matches_numpy(self, data):
+        tol = data.draw(st.sampled_from([IDENTITY_ATOL, IDENTITY_TOL]))
+        matrix = data.draw(_matrices(tol))
+        _assert_matches_reference(matrix, tol, matrix_is_identity(matrix, tol))
+
+    def test_examples(self):
+        assert matrix_is_identity(cmath.exp(0.3j) * np.eye(8))
+        assert not matrix_is_identity(np.diag([1.0, 1.0, 1.0, -1.0]))
+        assert not matrix_is_identity(np.array([[math.nan, 0], [0, 1]], dtype=complex))
+        assert not matrix_is_identity(np.zeros((2, 2)), atol=0.0)
+        assert Gate("rzz", 2, (0.0,)).is_identity()
+        assert not Gate("rz", 1, (2 * IDENTITY_TOL,)).is_identity()
+        assert Gate("rz", 1, (IDENTITY_TOL / 2,)).is_identity()
+        for name in ("ccx", "ccz", "cswap"):
+            gate = Gate(name, 3)
+            _assert_matches_reference(gate.matrix(), IDENTITY_TOL, gate.is_identity())

@@ -170,6 +170,75 @@ class TestSuccessEstimator:
         )
 
 
+class TestOneMakespan:
+    """``circuit_duration`` and ``DagCircuit.weighted_depth`` share one ASAP loop."""
+
+    @staticmethod
+    def _dag_makespan(circuit, calibration):
+        return circuit.dag().weighted_depth(
+            lambda inst: calibration.gate_duration(inst.name, inst.qubits)
+        )
+
+    @staticmethod
+    def _reference_makespan(circuit, calibration):
+        """The DAG walk ``weighted_depth`` did before it shared the loop."""
+        makespan = 0.0
+        ready_qubit, ready_clbit = {}, {}
+        for node in circuit.dag():
+            start = 0.0
+            for qubit in node.instruction.qubits:
+                start = max(start, ready_qubit.get(qubit, 0.0))
+            for clbit in node.instruction.clbits:
+                start = max(start, ready_clbit.get(clbit, 0.0))
+            end = start + float(
+                calibration.gate_duration(node.instruction.name, node.instruction.qubits)
+            )
+            for qubit in node.instruction.qubits:
+                ready_qubit[qubit] = end
+            for clbit in node.instruction.clbits:
+                ready_clbit[clbit] = end
+            makespan = max(makespan, end)
+        return makespan
+
+    def _assert_one_makespan(self, circuit, calibration):
+        duration = circuit_duration(circuit, calibration)
+        assert duration == self._dag_makespan(circuit, calibration)
+        assert duration == self._reference_makespan(circuit, calibration)
+        return duration
+
+    def test_measures_barriers_and_clbits(self, hardware_calibration):
+        circuit = QuantumCircuit(3)
+        circuit.h(0).cx(0, 1).barrier(1, 2).x(2)
+        circuit.measure(0, 1).measure(2, 1)  # the shared clbit serialises them
+        circuit.cx(1, 2).measure(1, 0).reset(0).t(0)
+        duration = self._assert_one_makespan(circuit, hardware_calibration)
+        cal = hardware_calibration
+        two_measures = (
+            cal.one_qubit_gate_time + cal.two_qubit_gate_time + 2 * cal.readout_time
+        )
+        assert duration >= two_measures
+
+    def test_clbit_dependency_is_scheduled(self, hardware_calibration):
+        shared = QuantumCircuit(2).measure(0, 0).measure(1, 0)
+        separate = QuantumCircuit(2).measure(0, 0).measure(1, 1)
+        readout = hardware_calibration.readout_time
+        assert self._assert_one_makespan(shared, hardware_calibration) == 2 * readout
+        assert self._assert_one_makespan(separate, hardware_calibration) == readout
+
+    @pytest.mark.parametrize("method", ["baseline", "trios"])
+    def test_wide_compiled_cell(self, hardware_calibration, method):
+        from repro.bench_circuits.suite import get_benchmark
+        from repro.compiler import transpile
+        from repro.hardware import johannesburg
+
+        compiled = transpile(
+            get_benchmark("cnx_halfborrowed-19"), johannesburg(), method=method, seed=11
+        ).circuit
+        compiled.measure_all()
+        assert compiled.num_qubits == 20
+        self._assert_one_makespan(compiled, hardware_calibration)
+
+
 class TestNoisySamplers:
     def _toffoli_circuit(self):
         circuit = QuantumCircuit(3)

@@ -137,6 +137,37 @@ class TestByteIdentityWithPreRefactorPipelines:
             )
 
 
+class TestCompilePathCost:
+    """The sweep's compile+estimate path runs no numpy closeness tests."""
+
+    @pytest.mark.parametrize("validate", ["off", "full"])
+    def test_fig9_10_cell_calls_no_np_allclose(self, monkeypatch, validate):
+        import numpy as np
+
+        from repro.experiments.benchmarks import clear_compile_cache, compare_benchmark
+        from repro.hardware import near_term_calibration
+
+        monkeypatch.setenv("REPRO_VALIDATE", validate)
+        calls = []
+        for name in ("allclose", "isclose"):
+            original = getattr(np, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        clear_compile_cache()
+        try:
+            row = compare_benchmark(
+                "grovers-9", johannesburg(), near_term_calibration(), seed=11
+            )
+        finally:
+            clear_compile_cache()
+        assert row.baseline_cnots > 0 and row.trios_cnots > 0
+        assert calls == []
+
+
 class TestTranspileApi:
     def _program(self):
         circuit = QuantumCircuit(4, "prog")
