@@ -1,8 +1,8 @@
 """Circuit intermediate representation: gates, circuits, DAGs and OpenQASM I/O."""
 
 from .gate import Gate, gate_matrix, KNOWN_GATE_NAMES
-from .circuit import Instruction, QuantumCircuit
-from .dag import CircuitDag, DagCircuit, DagNode, circuit_layers
+from .circuit import Instruction, QuantumCircuit, circuit_layers
+from .dag import DagCircuit, DagNode
 from .qasm import to_qasm, from_qasm
 from .drawing import draw
 from . import library
@@ -14,7 +14,6 @@ __all__ = [
     "KNOWN_GATE_NAMES",
     "Instruction",
     "QuantumCircuit",
-    "CircuitDag",
     "DagCircuit",
     "DagNode",
     "circuit_layers",

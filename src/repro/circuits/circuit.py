@@ -67,7 +67,7 @@ class Instruction:
 def interaction_graph(
     instructions: Iterable[Instruction], toffoli_weight: int = 1
 ) -> Dict[Tuple[int, int], int]:
-    """Weighted interaction graph over qubit pairs (shared by circuit and DAG).
+    """Weighted interaction graph over qubit pairs.
 
     Multi-qubit unitaries contribute to every pair among their qubits; pairs of
     a three-or-more-qubit gate are weighted by ``toffoli_weight`` (the paper's
@@ -91,7 +91,7 @@ def interaction_graph(
 def asap_makespan(
     instructions: Iterable[Instruction], duration_of: Callable[[Instruction], float]
 ) -> float:
-    """Makespan of ``instructions`` under ASAP scheduling (shared by circuit and DAG).
+    """Makespan of ``instructions`` under ASAP scheduling.
 
     Each instruction starts as soon as every qubit and clbit it touches is
     free, and holds them for ``duration_of(instruction)``; parallelism is
@@ -115,6 +115,37 @@ def asap_makespan(
     return makespan
 
 
+def circuit_layers(
+    circuit: "QuantumCircuit", ignore: Tuple[str, ...] = ("barrier",)
+) -> List[List[Instruction]]:
+    """Greedy ASAP layering: each layer holds instructions that can run in parallel.
+
+    An instruction lands one layer after the latest earlier instruction that
+    shares a qubit *or a clbit* with it; instructions named in ``ignore`` are
+    skipped.  :meth:`QuantumCircuit.depth` counts qubit dependencies only, so
+    two measurements into one clbit are two layers here but one depth step.
+    """
+    level_of_qubit: Dict[int, int] = {}
+    level_of_clbit: Dict[int, int] = {}
+    layers: List[List[Instruction]] = []
+    for instruction in circuit.instructions:
+        if instruction.name in ignore:
+            continue
+        start = 0
+        for qubit in instruction.qubits:
+            start = max(start, level_of_qubit.get(qubit, 0))
+        for clbit in instruction.clbits:
+            start = max(start, level_of_clbit.get(clbit, 0))
+        if start == len(layers):
+            layers.append([])
+        layers[start].append(instruction)
+        for qubit in instruction.qubits:
+            level_of_qubit[qubit] = start + 1
+        for clbit in instruction.clbits:
+            level_of_clbit[clbit] = start + 1
+    return layers
+
+
 class QuantumCircuit:
     """An ordered sequence of quantum instructions on ``num_qubits`` qubits."""
 
@@ -124,9 +155,9 @@ class QuantumCircuit:
         self.num_qubits = int(num_qubits)
         self.name = name or "circuit"
         self.instructions: List[Instruction] = []
-        # Memoized metrics (depth, count_ops) and the shared dependency DAG,
-        # invalidated whenever an instruction is appended.  All mutation goes
-        # through :meth:`append`, so clearing there keeps the cache honest.
+        # Memoized metrics (depth, count_ops), invalidated whenever an
+        # instruction is appended.  All mutation goes through :meth:`append`,
+        # so clearing there keeps the cache honest.
         self._cache: Dict[object, object] = {}
 
     # ------------------------------------------------------------------
@@ -151,17 +182,6 @@ class QuantumCircuit:
             f"QuantumCircuit(name={self.name!r}, qubits={self.num_qubits}, "
             f"instructions={len(self.instructions)})"
         )
-
-    # ------------------------------------------------------------------
-    # Pickling / copying
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        # The cached DagCircuit is a deep doubly-linked node chain; pickling
-        # it recurses past the interpreter limit on large circuits.  Every
-        # cache entry is recomputable, so drop the cache instead.
-        state = dict(self.__dict__)
-        state["_cache"] = {}
-        return state
 
     # ------------------------------------------------------------------
     # Building
@@ -285,23 +305,6 @@ class QuantumCircuit:
     # ------------------------------------------------------------------
     # Queries and metrics
     # ------------------------------------------------------------------
-    def dag(self) -> "DagCircuit":
-        """The circuit's dependency DAG, built once and shared (frozen).
-
-        The drawer, ``circuit_layers`` and analysis passes run on a circuit
-        consume this view instead of rebuilding a graph per call.  The
-        cached DAG is frozen (read-only); passes that rewrite the circuit use
-        ``DagCircuit.from_circuit`` for a private mutable copy.  Appending to
-        the circuit invalidates the cache.
-        """
-        cached = self._cache.get("dag")
-        if cached is None:
-            from .dag import DagCircuit
-
-            cached = DagCircuit.from_circuit(self).freeze()
-            self._cache["dag"] = cached
-        return cached
-
     def count_ops(self) -> Dict[str, int]:
         """Histogram of gate names (memoized; invalidated on append)."""
         cached = self._cache.get("count_ops")
@@ -351,8 +354,9 @@ class QuantumCircuit:
         return active
 
     def depth(self, ignore: Tuple[str, ...] = ("barrier",)) -> int:
-        """Circuit depth: the longest chain of dependent instructions.
+        """Circuit depth: the longest chain of instructions sharing qubits.
 
+        Clbits do not order instructions here (see :func:`circuit_layers`).
         Memoized per ``ignore`` tuple and invalidated when an instruction is
         appended, so hot metric loops stop re-deriving it.
         """

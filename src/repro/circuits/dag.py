@@ -2,42 +2,30 @@
 
 A :class:`DagCircuit` captures the "happens before" relation induced by shared
 qubits (and shared classical bits) and is the representation every compiler
-pass runs on.  Unlike the original read-only ``CircuitDag``, it is *mutable*:
-passes rewrite it locally — substituting a node with its decomposition,
-removing a cancelled pair, splicing a synthesised gate before an anchor —
-without ever rebuilding a full instruction list.
+pass runs on.  It is *mutable*: passes rewrite it locally — substituting a
+node with its decomposition, removing a cancelled pair, splicing a synthesised
+gate before an anchor — without ever rebuilding a full instruction list.
+Circuit metrics and layering live on :mod:`repro.circuits.circuit`, over the
+instruction list; this module is the pass IR only.
 
 Representation.  Nodes live on a doubly-linked global sequence whose order is
 always a valid topological order (it starts as program order and every edit
 splices new nodes into the slot of the node they replace), plus one
 doubly-linked chain *per wire* ("wire" = a qubit or a classical bit).  This
-gives O(1) append/remove/substitute, O(degree) dependency queries, and an
+gives O(1) append/remove/substitute, O(1) per-wire neighbour lookups, and an
 O(n) :meth:`to_circuit` that emits exactly the linearisation the pass pipeline
 built — which is what keeps compiled circuits byte-identical across the
 list-IR → DAG-IR refactor.
-
-``CircuitDag`` remains as a backwards-compatible alias: ``CircuitDag(circuit)``
-builds the DAG of a circuit, and the legacy index-based ``successors`` /
-``predecessors`` / ``front_layer`` / ``layers`` / ``weighted_depth`` queries
-keep working.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+import operator
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import CircuitError
-from .circuit import Instruction, QuantumCircuit, asap_makespan, interaction_graph
+from .circuit import Instruction, QuantumCircuit
 from .gate import Gate
-
-
-def _rebuild_dag(circuit: QuantumCircuit, frozen: bool) -> "DagCircuit":
-    """Unpickle helper: rebuild a :class:`DagCircuit` from its linear order."""
-    dag = DagCircuit(circuit)
-    if frozen:
-        dag.freeze()
-    return dag
 
 
 def _clbit_wire(clbit: int) -> int:
@@ -50,7 +38,7 @@ class DagNode:
 
     ``index`` is the node's creation order inside its DAG, which for a DAG
     built by :meth:`DagCircuit.from_circuit` equals the instruction's position
-    in the source circuit (the legacy ``CircuitDag`` contract).
+    in the source circuit (lint diagnostics report it).
     """
 
     __slots__ = (
@@ -140,19 +128,10 @@ class DagCircuit:
         "_size",
         "_mods",
         "_next_index",
-        "_frozen",
     )
 
-    def __init__(
-        self,
-        source: Union[int, QuantumCircuit],
-        name: Optional[str] = None,
-    ) -> None:
-        if isinstance(source, QuantumCircuit):
-            num_qubits = source.num_qubits
-            name = name or source.name
-        else:
-            num_qubits = int(source)
+    def __init__(self, num_qubits: int, name: Optional[str] = None) -> None:
+        num_qubits = operator.index(num_qubits)
         if num_qubits < 1:
             raise CircuitError("a DAG needs at least one qubit")
         self.num_qubits = num_qubits
@@ -164,10 +143,6 @@ class DagCircuit:
         self._size = 0
         self._mods = 0
         self._next_index = 0
-        self._frozen = False
-        if isinstance(source, QuantumCircuit):
-            for instruction in source.instructions:
-                self.append_instruction(instruction)
 
     # ------------------------------------------------------------------
     # Construction / conversion
@@ -175,7 +150,7 @@ class DagCircuit:
     @classmethod
     def from_circuit(cls, circuit: QuantumCircuit) -> "DagCircuit":
         """Build a mutable DAG from a circuit (O(n))."""
-        return cls(circuit)
+        return cls(circuit.num_qubits, circuit.name).extend(circuit.instructions)
 
     def to_circuit(self, name: Optional[str] = None) -> QuantumCircuit:
         """Emit the circuit in the DAG's linear (topological) order (O(n))."""
@@ -185,32 +160,13 @@ class DagCircuit:
 
     def copy(self) -> "DagCircuit":
         """An independent mutable copy (instructions are immutable and shared)."""
-        new = DagCircuit(self.num_qubits, self.name)
-        for node in self._iter_nodes():
-            new.append_instruction(node.instruction)
-        return new
-
-    def freeze(self) -> "DagCircuit":
-        """Mark this DAG read-only (mutations raise).  Returns ``self``."""
-        self._frozen = True
-        return self
+        return DagCircuit(self.num_qubits, self.name).extend(self.instructions)
 
     def __reduce__(self):
         # The node chain is deeply linked; the default pickle walk recurses
         # past the interpreter limit on large circuits.  Rebuild from the
         # linear instruction order instead (node identity is not preserved).
-        return (_rebuild_dag, (self.to_circuit(), self._frozen))
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def _check_mutable(self) -> None:
-        if self._frozen:
-            raise CircuitError(
-                "this DagCircuit is frozen (a shared analysis view); build a "
-                "mutable one with DagCircuit.from_circuit(...)"
-            )
+        return (DagCircuit.from_circuit, (self.to_circuit(),))
 
     # ------------------------------------------------------------------
     # Container behaviour
@@ -236,15 +192,6 @@ class DagCircuit:
     def tail(self) -> Optional[DagNode]:
         """Last node in the linear order (None when empty)."""
         return self._tail
-
-    @property
-    def nodes(self) -> List[DagNode]:
-        """All nodes in linear (topological) order."""
-        return list(self._iter_nodes())
-
-    def topological_nodes(self) -> List[DagNode]:
-        """Nodes in a valid execution order (the maintained linearisation)."""
-        return list(self._iter_nodes())
 
     @property
     def modification_count(self) -> int:
@@ -291,7 +238,6 @@ class DagCircuit:
 
     def append_instruction(self, instruction: Instruction) -> DagNode:
         """Append an already-built instruction; returns its new node."""
-        self._check_mutable()
         for qubit in instruction.qubits:
             if not 0 <= qubit < self.num_qubits:
                 raise CircuitError(
@@ -334,7 +280,6 @@ class DagCircuit:
     # ------------------------------------------------------------------
     def remove_node(self, node: DagNode) -> None:
         """Unlink ``node``; its wire predecessors and successors become adjacent."""
-        self._check_mutable()
         if not node._in_dag:
             raise CircuitError(f"node {node!r} is not in this DAG (already removed?)")
         if node._prev is not None:
@@ -376,7 +321,6 @@ class DagCircuit:
         return self._insert(anchor, instruction, before=False)
 
     def _insert(self, anchor: DagNode, instruction: Instruction, before: bool) -> DagNode:
-        self._check_mutable()
         if not anchor._in_dag:
             raise CircuitError(f"anchor {anchor!r} is not in this DAG")
         for qubit in instruction.qubits:
@@ -442,7 +386,6 @@ class DagCircuit:
         ``(first_replacement, node_after_block)``; ``first_replacement`` is
         ``None`` when the node was simply removed.
         """
-        self._check_mutable()
         if not node._in_dag:
             raise CircuitError(f"node {node!r} is not in this DAG")
         # Validate the whole block before touching the DAG, so a bad
@@ -487,120 +430,9 @@ class DagCircuit:
             node, [inst.remap(mapping) for inst in circuit.instructions]
         )
 
-    # ------------------------------------------------------------------
-    # Dependency queries
-    # ------------------------------------------------------------------
-    def _resolve(self, ref: Union[DagNode, int]) -> DagNode:
-        if isinstance(ref, DagNode):
-            return ref
-        for node in self._iter_nodes():
-            if node.index == ref:
-                return node
-        raise CircuitError(f"no node with index {ref} in this DAG")
-
-    def successors(self, ref: Union[DagNode, int]) -> List[DagNode]:
-        """Distinct instructions that directly depend on ``ref`` (wire successors)."""
-        node = self._resolve(ref)
-        seen: List[DagNode] = []
-        for wire in node._wnext:
-            succ = node._wnext[wire]
-            if succ is not None and succ not in seen:
-                seen.append(succ)
-        seen.sort(key=lambda n: n.index)
-        return seen
-
-    def predecessors(self, ref: Union[DagNode, int]) -> List[DagNode]:
-        """Distinct instructions ``ref`` directly depends on (wire predecessors)."""
-        node = self._resolve(ref)
-        seen: List[DagNode] = []
-        for wire in node._wprev:
-            pred = node._wprev[wire]
-            if pred is not None and pred not in seen:
-                seen.append(pred)
-        seen.sort(key=lambda n: n.index)
-        return seen
-
-    def front_layer(self) -> List[DagNode]:
-        """Instructions with no predecessors (ready to execute first)."""
-        return [
-            node
-            for node in self._iter_nodes()
-            if all(pred is None for pred in node._wprev.values())
-        ]
-
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-    def count_ops(self) -> Dict[str, int]:
-        """Histogram of gate names."""
-        counts: Dict[str, int] = {}
-        for node in self._iter_nodes():
-            counts[node.name] = counts.get(node.name, 0) + 1
-        return counts
-
-    def interactions(self, toffoli_weight: int = 1) -> Dict[Tuple[int, int], int]:
-        """Weighted interaction graph over qubit pairs (see ``QuantumCircuit.interactions``)."""
-        return interaction_graph(
-            (node.instruction for node in self._iter_nodes()), toffoli_weight
-        )
-
-    # ------------------------------------------------------------------
-    # Layering
-    # ------------------------------------------------------------------
-    def layers(self, ignore: Tuple[str, ...] = ("barrier",)) -> List[List[DagNode]]:
-        """Greedy ASAP layering: each layer holds instructions that can run in parallel."""
-        level_of_qubit: Dict[int, int] = {}
-        level_of_clbit: Dict[int, int] = {}
-        layered: Dict[int, List[DagNode]] = defaultdict(list)
-        for node in self._iter_nodes():
-            if node.name in ignore:
-                continue
-            start = 0
-            for qubit in node.instruction.qubits:
-                start = max(start, level_of_qubit.get(qubit, 0))
-            for clbit in node.instruction.clbits:
-                start = max(start, level_of_clbit.get(clbit, 0))
-            layered[start].append(node)
-            for qubit in node.instruction.qubits:
-                level_of_qubit[qubit] = start + 1
-            for clbit in node.instruction.clbits:
-                level_of_clbit[clbit] = start + 1
-        return [layered[level] for level in sorted(layered)]
-
-    def depth(self) -> int:
-        """Number of layers (same as ``QuantumCircuit.depth``)."""
-        return len(self.layers())
-
-    # ------------------------------------------------------------------
-    # Critical path with weighted durations
-    # ------------------------------------------------------------------
-    def weighted_depth(self, duration_of: Callable[[Instruction], float]) -> float:
-        """Length of the critical path where each node costs ``duration_of(instruction)``.
-
-        Args:
-            duration_of: Callable mapping an :class:`Instruction` to a float
-                duration.  Barriers should be given zero duration.
-
-        Returns:
-            Total duration of the critical path (the schedule makespan under
-            ASAP scheduling with unlimited parallelism; see
-            :func:`~repro.circuits.circuit.asap_makespan`).
-        """
-        return asap_makespan(
-            (node.instruction for node in self._iter_nodes()), duration_of
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DagCircuit(name={self.name!r}, qubits={self.num_qubits}, "
             f"nodes={self._size})"
         )
 
-
-#: Backwards-compatible alias: ``CircuitDag(circuit)`` builds the circuit's DAG.
-CircuitDag = DagCircuit
-
-
-def circuit_layers(circuit: QuantumCircuit) -> List[List[Instruction]]:
-    """Convenience wrapper returning layers of instructions for ``circuit``."""
-    return [[node.instruction for node in layer] for layer in circuit.dag().layers()]

@@ -1,16 +1,17 @@
 """Plain-text circuit drawing.
 
 A small renderer producing the familiar one-wire-per-qubit ASCII picture, used
-by the examples and handy when debugging routing output.  Gates are laid out in
-the same greedy ASAP columns as :meth:`QuantumCircuit.depth` uses, so the
-drawing width is the circuit depth.
+by the examples and handy when debugging routing output.  The columns are the
+greedy ASAP layers ``circuit_layers(circuit, ignore=())``: barriers get a
+column, and instructions sharing a clbit are ordered, so the column count can
+exceed :meth:`QuantumCircuit.depth`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .circuit import Instruction, QuantumCircuit
+from .circuit import Instruction, QuantumCircuit, circuit_layers
 
 #: Maximum number of columns rendered before the drawing is elided.
 _DEFAULT_MAX_COLUMNS = 120
@@ -55,9 +56,7 @@ def draw(circuit: QuantumCircuit, max_columns: Optional[int] = None) -> str:
             are truncated with an ellipsis.  Defaults to 120.
     """
     max_columns = max_columns or _DEFAULT_MAX_COLUMNS
-    # Layers come from the circuit's shared, memoized DAG — drawing the same
-    # circuit repeatedly (or after computing its depth) reuses one graph.
-    layers = circuit.dag().layers(ignore=())
+    layers = circuit_layers(circuit, ignore=())
     truncated = False
     if len(layers) > max_columns:
         layers = layers[:max_columns]
@@ -68,10 +67,10 @@ def draw(circuit: QuantumCircuit, max_columns: Optional[int] = None) -> str:
     for layer in layers:
         cells: Dict[int, str] = {}
         in_span: Dict[int, bool] = {}
-        for node in layer:
-            cells.update(_column_symbols(node.instruction))
-            qubits = node.instruction.qubits
-            if len(qubits) > 1 and node.instruction.name != "barrier":
+        for instruction in layer:
+            cells.update(_column_symbols(instruction))
+            qubits = instruction.qubits
+            if len(qubits) > 1 and instruction.name != "barrier":
                 low, high = min(qubits), max(qubits)
                 for wire in range(low, high + 1):
                     in_span[wire] = True

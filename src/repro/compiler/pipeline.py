@@ -435,6 +435,12 @@ class TranspileOptions:
         return resolved
 
     def _check_values(self) -> None:
+        # ``bool`` is an ``int`` subclass: ``optimization_level=True`` would
+        # compile as level 1 under a different canonical form (job key).
+        for name in ("optimization_level", "seed_trials", "jobs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise TranspilerError(f"{name} must be an integer, got {value!r}")
         level = self.optimization_level
         if not isinstance(level, int) or not 0 <= level <= 3:
             raise TranspilerError(f"invalid optimization_level {level!r}")
@@ -479,7 +485,7 @@ class TranspileOptions:
         """False when the compile is intentionally non-reproducible.
 
         Seedless stochastic routing draws from an unseeded RNG; caching such
-        a result would freeze one arbitrary draw forever, silently changing
+        a result would pin one arbitrary draw forever, silently changing
         the caller's semantics.  Everything else is deterministic.
         """
         return not (self.seed is None and self.routing == "stochastic")

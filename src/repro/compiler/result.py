@@ -60,11 +60,6 @@ class CompilationResult:
         return self.circuit.two_qubit_gate_count(count_swap_as=3)
 
     @property
-    def cnot_count(self) -> int:
-        """Alias for :attr:`two_qubit_gate_count`."""
-        return self.two_qubit_gate_count
-
-    @property
     def depth(self) -> int:
         """Depth of the compiled circuit."""
         return self.circuit.depth()
@@ -101,8 +96,7 @@ class CompilationResult:
     def _bare_circuit(self) -> QuantumCircuit:
         """The compiled circuit without barriers, built once and cached.
 
-        Duration and success queries both schedule this circuit, and its
-        memoized DAG (``QuantumCircuit.dag``) is shared between them.
+        Duration and success queries both schedule this circuit.
         """
         if self._bare is None:
             self._bare = self.circuit.without(["barrier"])

@@ -443,9 +443,9 @@ def _run_lint(args: argparse.Namespace) -> int:
         )
 
     if args.fig9_10:
-        # The Fig 9/10 sweep, cell for cell (same loop as
-        # benchmarks/freeze_fig9_10_reference.py): every compiled output must
-        # lint without error-severity findings.
+        # The Fig 9/10 sweep, cell for cell (same loop as the script that
+        # regenerates the reference hashes): every compiled output must lint
+        # without error-severity findings.
         from ..bench_circuits import PAPER_BENCHMARKS
 
         linter = CircuitLinter(suppress=args.suppress)

@@ -31,7 +31,6 @@ from .routing import GreedySwapRouter, LegalizationRouter
 from .trios_routing import TriosRouter
 from .optimization import (
     DecomposeSwapsPass,
-    RemoveBarriersPass,
     CancelAdjacentInversesPass,
     Consolidate1qRunsPass,
     RemoveIdentitiesPass,
@@ -77,7 +76,6 @@ __all__ = [
     "LegalizationRouter",
     "TriosRouter",
     "DecomposeSwapsPass",
-    "RemoveBarriersPass",
     "CancelAdjacentInversesPass",
     "Consolidate1qRunsPass",
     "RemoveIdentitiesPass",

@@ -93,26 +93,6 @@ def record_pass_span(
     return span
 
 
-def record_timing(
-    properties: PropertySet,
-    pass_name: str,
-    stage: Optional[str],
-    seconds: float,
-    size_before: int,
-    size_after: int,
-) -> None:
-    """Deprecated pre-span shim; forwards to :func:`record_pass_span`."""
-    record_pass_span(
-        properties,
-        pass_name,
-        stage,
-        obs.now() - seconds,
-        seconds,
-        size_before,
-        size_after,
-    )
-
-
 class BasePass(ABC):
     """A single compilation step running on the DAG IR."""
 
@@ -187,9 +167,7 @@ class AnalysisPass(BasePass):
         if isinstance(circuit, DagCircuit):
             self.analyze(circuit, properties)
             return circuit
-        # Analysis never mutates, so the circuit's shared memoized DAG is the
-        # right view — no rebuild, no copy.
-        self.analyze(circuit.dag(), properties)
+        self.analyze(DagCircuit.from_circuit(circuit), properties)
         return circuit
 
 

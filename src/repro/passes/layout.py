@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..circuits.circuit import QuantumCircuit
+from ..circuits.circuit import QuantumCircuit, interaction_graph
 from ..circuits.dag import DagCircuit
 from ..exceptions import LayoutError
 from ..hardware.calibration import DeviceCalibration
@@ -173,7 +173,9 @@ class GreedyInteractionLayoutPass(AnalysisPass):
                 f"circuit needs {dag.num_qubits} qubits but the device has "
                 f"{self.coupling_map.num_qubits}"
             )
-        interactions = dag.interactions(toffoli_weight=self.TOFFOLI_PAIR_WEIGHT)
+        interactions = interaction_graph(
+            dag.instructions, toffoli_weight=self.TOFFOLI_PAIR_WEIGHT
+        )
         placement = self._place(dag.num_qubits, interactions)
         properties["layout"] = Layout(placement)
         properties["coupling_map"] = self.coupling_map

@@ -48,21 +48,6 @@ class DecomposeSwapsPass(TransformationPass):
         return dag
 
 
-class RemoveBarriersPass(TransformationPass):
-    """Drop barrier markers (they carry no semantics for our simulators)."""
-
-    checks = ("gate_count_nonincreasing",)
-
-    def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
-        node = dag.head
-        while node is not None:
-            nxt = node.next_node
-            if node.name == "barrier":
-                dag.remove_node(node)
-            node = nxt
-        return dag
-
-
 def is_inverse_pair(first: Instruction, second: Instruction) -> bool:
     """Whether ``first · second`` is the identity: same qubits, inverse gates.
 

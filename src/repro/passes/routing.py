@@ -40,10 +40,6 @@ class GreedySwapRouter(TransformationPass):
     Args:
         coupling_map: Target device connectivity.
         edge_weights: Optional per-edge weights for noise-aware routing.
-        meet_in_middle: Move both endpoints toward the centre of the path
-            instead of walking only the first endpoint to the second.  The SWAP
-            count is identical; only which data ends up where differs (§3
-            mentions both strategies).
         stochastic: Model Qiskit's stochastic swap policy (the paper's
             baseline, §5.2): pick uniformly at random which endpoint walks and
             which of the tied shortest paths it follows.  The paper's §3
@@ -60,13 +56,11 @@ class GreedySwapRouter(TransformationPass):
         self,
         coupling_map: CouplingMap,
         edge_weights: Optional[Mapping[Edge, float]] = None,
-        meet_in_middle: bool = False,
         stochastic: bool = False,
         seed: Optional[int] = None,
     ) -> None:
         self.coupling_map = coupling_map
         self.edge_weights = dict(edge_weights) if edge_weights else None
-        self.meet_in_middle = meet_in_middle
         self.stochastic = stochastic
         self._rng = random.Random(seed)
 
@@ -117,25 +111,10 @@ class GreedySwapRouter(TransformationPass):
             # Qiskit's stochastic policy may just as well move the other qubit.
             physical_a, physical_b = physical_b, physical_a
         path = self._shortest_path(physical_a, physical_b)
-        if not self.meet_in_middle:
-            # Walk the data at ``a`` along the path until adjacent to ``b``.
-            for step in range(len(path) - 2):
-                self._emit_swap(out, layout, path[step], path[step + 1])
-                swaps += 1
-            return swaps
-        # Meet in the middle: alternately advance each endpoint along the path.
-        left = 0
-        right = len(path) - 1
-        move_left = True
-        while right - left > 1:
-            if move_left:
-                self._emit_swap(out, layout, path[left], path[left + 1])
-                left += 1
-            else:
-                self._emit_swap(out, layout, path[right], path[right - 1])
-                right -= 1
+        # Walk the data at ``a`` along the path until adjacent to ``b``.
+        for step in range(len(path) - 2):
+            self._emit_swap(out, layout, path[step], path[step + 1])
             swaps += 1
-            move_left = not move_left
         return swaps
 
     # ------------------------------------------------------------------

@@ -45,17 +45,12 @@ class TriosRouter(GreedySwapRouter):
         self,
         coupling_map: CouplingMap,
         edge_weights: Optional[Mapping[Tuple[int, int], float]] = None,
-        meet_in_middle: bool = False,
         overlap_optimization: bool = True,
         stochastic: bool = False,
         seed: Optional[int] = None,
     ) -> None:
         super().__init__(
-            coupling_map,
-            edge_weights,
-            meet_in_middle,
-            stochastic=stochastic,
-            seed=seed,
+            coupling_map, edge_weights, stochastic=stochastic, seed=seed
         )
         self.overlap_optimization = overlap_optimization
 

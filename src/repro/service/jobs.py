@@ -1,6 +1,6 @@
 """Content-addressed compile jobs: one key recipe for drivers and server.
 
-A :class:`CompileJob` freezes everything that determines a compiled circuit —
+A :class:`CompileJob` pins everything that determines a compiled circuit —
 the canonical QASM of the input, the target topology's signature and the
 resolved :class:`~repro.compiler.pipeline.TranspileOptions` (pipeline name
 included) — into a single SHA-256 key.  The experiment drivers

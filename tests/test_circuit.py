@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuits import CircuitDag, QuantumCircuit, circuit_layers, from_qasm, to_qasm
+from repro.circuits import QuantumCircuit, circuit_layers, draw, from_qasm, to_qasm
 from repro.circuits import library
-from repro.circuits.circuit import Instruction
+from repro.circuits.circuit import Instruction, asap_makespan
 from repro.circuits.dag import DagCircuit
 from repro.exceptions import CircuitError
 
@@ -164,7 +164,7 @@ class TestCircuitTransforms:
         assert [inst.name for inst in cleaned.instructions] == ["h"]
 
 
-class TestCircuitDag:
+class TestCircuitLayers:
     def test_layers_group_parallel_gates(self):
         circuit = QuantumCircuit(4)
         circuit.h(0).h(1).cx(0, 1).cx(2, 3)
@@ -174,21 +174,33 @@ class TestCircuitDag:
             ["cx"],
         ]
 
-    def test_front_layer_and_successors(self):
+    def test_shared_clbit_orders_layers_but_not_depth(self):
+        # depth() follows qubits only; the layering (and so the drawer's
+        # columns) also waits on the shared clbit.
         circuit = QuantumCircuit(2)
-        circuit.h(0).cx(0, 1).x(1)
-        dag = CircuitDag(circuit)
-        front = dag.front_layer()
-        assert [node.name for node in front] == ["h"]
-        successors = dag.successors(front[0].index)
-        assert [node.name for node in successors] == ["cx"]
-        assert [node.name for node in dag.predecessors(2)] == ["cx"]
+        circuit.h(0).h(1).measure(0, 0).measure(1, 0)
+        assert circuit.depth() == 2
+        layers = circuit_layers(circuit, ignore=())
+        assert [[inst.name for inst in layer] for layer in layers] == [
+            ["h", "h"],
+            ["measure"],
+            ["measure"],
+        ]
+        first_line = draw(circuit).splitlines()[0]
+        assert first_line == "q0  : " + "-h-" + "-M-" + "---"
 
-    def test_weighted_depth_uses_durations(self, hardware_calibration):
+    def test_barrier_layers_only_when_not_ignored(self):
+        circuit = QuantumCircuit(2)
+        circuit.h(0).barrier().h(1)
+        assert len(circuit_layers(circuit)) == 1
+        assert len(circuit_layers(circuit, ignore=())) == 3
+
+    def test_asap_makespan_uses_durations(self, hardware_calibration):
         circuit = QuantumCircuit(2)
         circuit.u3(0.1, 0.2, 0.3, 0).cx(0, 1).u3(0.1, 0.2, 0.3, 1)
-        duration = CircuitDag(circuit).weighted_depth(
-            lambda inst: hardware_calibration.gate_duration(inst.name, inst.qubits)
+        duration = asap_makespan(
+            circuit.instructions,
+            lambda inst: hardware_calibration.gate_duration(inst.name, inst.qubits),
         )
         expected = 0.07 + 0.559 + 0.07
         assert duration == pytest.approx(expected)

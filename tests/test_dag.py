@@ -165,42 +165,21 @@ class TestMutation:
         assert dag.modification_count == before + 2
 
 
-class TestQueries:
-    def test_front_layer_and_per_wire_queries(self):
-        circuit = QuantumCircuit(3)
-        circuit.h(0).h(2).cx(0, 1).cx(1, 2)
-        dag = DagCircuit.from_circuit(circuit)
-        assert sorted(n.name for n in dag.front_layer()) == ["h", "h"]
-        first_cx = [n for n in dag if n.name == "cx"][0]
-        assert [n.name for n in dag.predecessors(first_cx)] == ["h"]
-        assert [n.name for n in dag.successors(first_cx)] == ["cx"]
-
-    def test_interactions_match_circuit(self):
-        circuit = QuantumCircuit(3)
-        circuit.ccx(0, 1, 2).cx(0, 1)
-        dag = DagCircuit.from_circuit(circuit)
-        assert dag.interactions(toffoli_weight=2) == circuit.interactions(
-            toffoli_weight=2
-        )
-
-    def test_count_ops_and_len(self):
+class TestContainer:
+    def test_len_counts_nodes(self):
         circuit = QuantumCircuit(2)
         circuit.h(0).cx(0, 1).measure(0)
         dag = DagCircuit.from_circuit(circuit)
         assert len(dag) == 3
-        assert dag.count_ops() == {"h": 1, "cx": 1, "measure": 1}
+        assert [node.name for node in dag] == ["h", "cx", "measure"]
 
-
-class TestFrozen:
-    def test_frozen_dag_rejects_mutation(self):
-        circuit = QuantumCircuit(2)
+    def test_constructor_takes_a_qubit_count_only(self):
+        circuit = QuantumCircuit(2, "named")
         circuit.h(0)
-        dag = circuit.dag()
-        assert dag.frozen
-        with pytest.raises(CircuitError):
-            dag.append(library.x_gate(), (1,))
-        with pytest.raises(CircuitError):
-            dag.remove_node(dag.head)
+        with pytest.raises(TypeError):
+            DagCircuit(circuit)
+        dag = DagCircuit.from_circuit(circuit)
+        assert (dag.num_qubits, dag.name, len(dag)) == (2, "named", 1)
 
 
 class TestCircuitMemoization:
@@ -227,17 +206,6 @@ class TestCircuitMemoization:
         counts["h"] = 99
         assert circuit.count_ops() == {"h": 1}
 
-    def test_shared_dag_is_memoized_and_invalidated(self):
-        circuit = QuantumCircuit(2)
-        circuit.h(0).cx(0, 1)
-        first = circuit.dag()
-        assert circuit.dag() is first  # shared, not rebuilt per call
-        assert first.depth() == 2
-        circuit.x(1)
-        second = circuit.dag()
-        assert second is not first
-        assert second.depth() == 3
-
     def test_copy_does_not_share_cache(self):
         circuit = QuantumCircuit(2)
         circuit.h(0)
@@ -257,12 +225,12 @@ class TestPickling:
             circuit.h(0).cx(0, 1)
         return circuit
 
-    def test_circuit_with_cached_dag_pickles(self):
+    def test_circuit_with_memoized_metrics_pickles(self):
         import pickle
 
         circuit = self._deep_circuit()
         circuit.depth()
-        circuit.dag()  # populates the cache with the linked-node DAG
+        circuit.count_ops()
         restored = pickle.loads(pickle.dumps(circuit))
         assert [str(i) for i in restored.instructions] == [
             str(i) for i in circuit.instructions
@@ -272,18 +240,24 @@ class TestPickling:
     def test_dag_pickle_round_trip(self):
         import pickle
 
-        dag = DagCircuit.from_circuit(self._deep_circuit()).freeze()
+        dag = DagCircuit.from_circuit(self._deep_circuit())
         restored = pickle.loads(pickle.dumps(dag))
-        assert restored.frozen
+        assert isinstance(restored, DagCircuit)
         assert [str(i) for i in restored.instructions] == [
             str(i) for i in dag.instructions
         ]
+        restored.append(library.x_gate(), (1,))  # the copy is mutable
+        assert len(restored) == len(dag) + 1
 
-    def test_deepcopy_with_cached_dag(self):
+    def test_deepcopy_of_deep_dag_and_circuit(self):
         import copy
 
         circuit = self._deep_circuit()
-        circuit.dag()
+        dag = DagCircuit.from_circuit(circuit)
+        dag_clone = copy.deepcopy(dag)
+        assert dag_clone.instructions == dag.instructions
+        dag_clone.remove_node(dag_clone.head)
+        assert len(dag) == len(circuit)
         clone = copy.deepcopy(circuit)
         clone.h(0)
         assert clone.depth() == circuit.depth() + 1

@@ -456,6 +456,13 @@ class TestCompileService:
             {"layout": "bogus"},
             {"toffoli_mode": "9cnot"},
             {"jobs": 4},
+            # JSON ``true`` is a Python bool, which is an int subclass.
+            pytest.param({"optimization_level": True}, id="optimization_level-bool"),
+            pytest.param({"seed": True}, id="seed-bool"),
+            pytest.param(
+                {"optimization_level": 3, "seed_trials": True}, id="seed_trials-bool"
+            ),
+            pytest.param({"optimization_level": 3, "jobs": True}, id="jobs-bool"),
         ],
         ids=lambda options: next(iter(options)),
     )
@@ -524,6 +531,9 @@ class TestServiceHTTP:
                 results["bad_option"] = client.compile(
                     qasm, "line-20", "baseline", {"toffoli_mode": "9cnot"}
                 )
+                results["bool_option"] = client.compile(
+                    qasm, "line-20", "baseline", {"optimization_level": True}
+                )
                 results["stats"] = client.stats()
                 results["not_found"] = client.request("GET", "/nope")
                 results["shutdown"] = client.shutdown()
@@ -545,6 +555,7 @@ class TestServiceHTTP:
         assert hit["qasm"] == results["miss"][1]["qasm"]
         assert results["bad"][0] == 400
         assert results["bad_option"][0] == 400
+        assert results["bool_option"][0] == 400
         status, stats = results["stats"]
         assert status == 200
         assert stats["service"]["hits"] == 1

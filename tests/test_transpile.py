@@ -252,6 +252,25 @@ class TestTranspileApi:
         with pytest.raises(TranspilerError):
             transpile(self._program(), johannesburg_map, routing="quantum")
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"optimization_level": True},
+            {"optimization_level": False},
+            {"seed": True},
+            {"optimization_level": 3, "seed_trials": True},
+            {"optimization_level": 3, "jobs": True},
+        ],
+        ids=["level-true", "level-false", "seed", "seed_trials", "jobs"],
+    )
+    def test_bools_rejected_for_integer_options(self, options):
+        # ``optimization_level=True`` used to compile as level 1 under a
+        # different canonical form, i.e. a second job key for one compile.
+        from repro.compiler.pipeline import TranspileOptions
+
+        with pytest.raises(TranspilerError, match="must be an integer"):
+            TranspileOptions.resolve("trios", **options)
+
     def test_options_the_pipeline_ignores_are_rejected(self, johannesburg_map):
         # An ablation run must not silently fall back to the defaults.
         with pytest.raises(TranspilerError, match="no effect"):
