@@ -9,17 +9,26 @@ in a Python loop.  They are kept verbatim so that
 * ``tests/test_sim_batched.py`` can assert that the batched engine samples the
   same distributions (within a total-variation-distance tolerance).
 
+It also freezes the statevector gate kernel of that time,
+:func:`tensordot_apply_matrix` (one ``np.tensordot`` per gate), which these
+samplers keep using; :func:`tensordot_kernel` swaps it into the current
+simulators so the throughput benchmark can time the two kernels on the same
+sampler.
+
 Do not "optimize" this module — its slowness is the point.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Dict
+from unittest import mock
 
 import numpy as np
 
 from repro.sim import NoisyResult, StatevectorSimulator, estimate_success
+from repro.sim import statevector
 from repro.sim.estimator import circuit_duration
 from repro.sim.noise import (
     _PAULI_LABELS,
@@ -27,7 +36,24 @@ from repro.sim.noise import (
     _measured_qubits,
     _reduce_to_active,
 )
-from repro.sim.statevector import apply_matrix, zero_state
+from repro.sim.statevector import zero_state
+
+
+def tensordot_apply_matrix(state, matrix, qubits, num_qubits):
+    """The seed repository's gate kernel: one ``np.tensordot`` per gate."""
+    k = len(qubits)
+    tensor = state.reshape((2,) * num_qubits)
+    gate_tensor = matrix.reshape((2,) * (2 * k))
+    moved = np.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), list(qubits)))
+    moved = np.moveaxis(moved, list(range(k)), list(qubits))
+    return moved.reshape(-1)
+
+
+@contextmanager
+def tensordot_kernel():
+    """Run the current statevector simulator on :func:`tensordot_apply_matrix`."""
+    with mock.patch.object(statevector, "apply_matrix", tensordot_apply_matrix):
+        yield
 
 
 class LegacyTrajectorySampler:
@@ -65,7 +91,7 @@ class LegacyTrajectorySampler:
     def _one_trajectory(self, gates, num_qubits, measured, decoherence_failure):
         state = zero_state(num_qubits)
         for instruction in gates:
-            state = apply_matrix(
+            state = tensordot_apply_matrix(
                 state, instruction.gate.matrix(), instruction.qubits, num_qubits
             )
             error = self._error_probability(instruction)
@@ -99,7 +125,9 @@ class LegacyTrajectorySampler:
             labels = [_PAULI_LABELS[int(self.rng.integers(0, 4))] for _ in qubits]
         for qubit, label in zip(qubits, labels):
             if label != "I":
-                state = apply_matrix(state, _PAULI_MATRICES[label], (qubit,), num_qubits)
+                state = tensordot_apply_matrix(
+                    state, _PAULI_MATRICES[label], (qubit,), num_qubits
+                )
         return state
 
 
@@ -122,9 +150,10 @@ class LegacyGateFailureSampler:
             include_readout=False,
         )
         trouble_free = estimate.gate_success * estimate.coherence_success
-        ideal = StatevectorSimulator(num_qubits_limit=22).probabilities(
-            reduced.without(["measure"]), compact_measured
-        )
+        with tensordot_kernel():
+            ideal = StatevectorSimulator(num_qubits_limit=22).probabilities(
+                reduced.without(["measure"]), compact_measured
+            )
         outcomes = list(ideal)
         weights = np.array([ideal[o] for o in outcomes])
         weights = weights / weights.sum()

@@ -6,6 +6,14 @@ Pauli-error pattern and vectorizes everything else.  The workload is the
 ISSUE's acceptance case: a decomposed Toffoli on 4 qubits at 1024 shots under
 the 2020-08-19 Johannesburg calibration.
 
+A second section times the statevector gate kernel on a wide state: the
+batched failure sampler on the Figure 8 baseline Toffoli routed across
+Johannesburg triplet (0, 9, 15), which activates 16 qubits, once on the
+current slice kernel and once on the seed's ``tensordot`` kernel (frozen in
+``_legacy_samplers.py``).  It prints the ratio and asserts only that both
+kernels sample identical counts, since the ratio depends on the BLAS build
+and its threading.
+
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_sim_throughput.py -q -s
@@ -21,10 +29,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _legacy_samplers import LegacyGateFailureSampler, LegacyTrajectorySampler
+from _legacy_samplers import LegacyGateFailureSampler, LegacyTrajectorySampler, tensordot_kernel
 
 from repro.circuits import QuantumCircuit
-from repro.hardware import johannesburg_aug19_2020
+from repro.experiments.toffoli import compile_configuration
+from repro.hardware import johannesburg, johannesburg_aug19_2020
 from repro.sim import GateFailureSampler, PauliTrajectorySampler
 
 SHOTS = 1024
@@ -41,15 +50,51 @@ def toffoli_workload() -> QuantumCircuit:
     return circuit
 
 
-def shots_per_second(sampler, circuit, repeats: int = 3) -> float:
+def wide_toffoli_workload():
+    """The baseline-compiled Toffoli on triplet (0, 9, 15): 16 active qubits."""
+    compiled = compile_configuration(
+        "Qiskit (baseline)", johannesburg(), {0: 0, 1: 9, 2: 15}, seed=1
+    )
+    circuit = compiled.circuit.without(["measure"])
+    assert len(circuit.active_qubits()) >= 14
+    return circuit, compiled.physical_qubits_of([0, 1, 2])
+
+
+def shots_per_second(sampler, circuit, repeats: int = 3, measured_qubits=None) -> float:
     """Best-of-``repeats`` throughput of ``sampler.run`` on ``circuit``."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        result = sampler.run(circuit, shots=SHOTS)
+        result = sampler.run(circuit, shots=SHOTS, measured_qubits=measured_qubits)
         best = min(best, time.perf_counter() - start)
         assert sum(result.counts.values()) == SHOTS
     return SHOTS / best
+
+
+def measure_wide_kernels():
+    """Failure-sampler throughput on the wide Toffoli under each gate kernel.
+
+    Both runs use the same seed, so they must sample identical counts.
+    """
+    circuit, measured = wide_toffoli_workload()
+
+    def run():
+        counts = GateFailureSampler(CALIBRATION, seed=0).run(
+            circuit, shots=SHOTS, measured_qubits=measured
+        ).counts
+        rate = shots_per_second(
+            GateFailureSampler(CALIBRATION, seed=0), circuit, measured_qubits=measured
+        )
+        return rate, counts
+
+    with tensordot_kernel():
+        tensordot_rate, tensordot_counts = run()
+    slice_rate, slice_counts = run()
+    assert slice_counts == tensordot_counts
+    return {
+        "failure 16q (tensordot)": tensordot_rate,
+        "failure 16q (slices)": slice_rate,
+    }
 
 
 def measure_all():
@@ -68,6 +113,7 @@ def measure_all():
         "failure (batched)": shots_per_second(
             GateFailureSampler(CALIBRATION, seed=0), circuit
         ),
+        **measure_wide_kernels(),
     }
 
 
@@ -79,6 +125,11 @@ def report(rates) -> str:
         "  speedup: trajectory {:.1f}x, failure {:.1f}x".format(
             rates["trajectory (batched)"] / rates["trajectory (per-shot)"],
             rates["failure (batched)"] / rates["failure (per-shot)"],
+        )
+    )
+    lines.append(
+        "  slice kernel vs tensordot kernel on 16 active qubits: {:.2f}x".format(
+            rates["failure 16q (slices)"] / rates["failure 16q (tensordot)"]
         )
     )
     return "\n".join(lines)

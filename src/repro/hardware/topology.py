@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -167,6 +167,9 @@ class CouplingMap:
         self.name = name
         self.graph = nx.Graph()
         self.graph.add_nodes_from(range(self.num_qubits))
+        # The edges in construction order, which fixes the graph's neighbour
+        # order and so the routers' tie-breaks; pickling rebuilds from them.
+        self._edge_list = edges = tuple(edges)
         for a, b in edges:
             a, b = int(a), int(b)
             if a == b:
@@ -402,6 +405,19 @@ class CouplingMap:
             for c in set(self.graph.neighbors(a)) & set(self.graph.neighbors(b)):
                 found.add(tuple(sorted((a, b, c))))  # type: ignore[arg-type]
         return sorted(found)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle the device only, not the memo caches (or networkx's cached
+        views), which grow with every routing query: a pickled map's size
+        does not depend on what was routed on it.  They are rebuilt lazily."""
+        return {"num_qubits": self.num_qubits, "edges": self._edge_list, "name": self.name}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        CouplingMap.__init__(self, state["num_qubits"], state["edges"], state["name"])
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "CouplingMap":
+        """The map is immutable after construction, so it is its own deep copy."""
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -3,7 +3,9 @@
 Module map
 ----------
 * :mod:`~repro.sim.statevector` — dense noiseless statevector evolution, the
-  ``apply_matrix`` tensor-contraction kernel and marginal distributions.
+  ``apply_matrix`` gate kernel shared by every backend (strided slice
+  arithmetic for gates with at most two nonzeros per row, one ``np.dot`` for
+  denser matrices) and marginal distributions.
 * :mod:`~repro.sim.unitary` — whole-circuit unitaries and phase-aligned
   matrix comparisons.
 * :mod:`~repro.sim.equivalence` — the formal equivalence-checking harness:

@@ -308,12 +308,9 @@ def apply_confusion(
     distribution: np.ndarray, width: int, confusion: np.ndarray
 ) -> np.ndarray:
     """Apply the per-bit readout confusion matrix to an outcome distribution."""
-    tensor = distribution.reshape((2,) * width)
-    for axis in range(width):
-        tensor = np.moveaxis(
-            np.tensordot(confusion, tensor, axes=([1], [axis])), 0, axis
-        )
-    return tensor.reshape(-1)
+    for bit in range(width):
+        distribution = apply_matrix(distribution, confusion, (bit,), width)
+    return distribution
 
 
 def finish_exact_distribution(

@@ -301,8 +301,9 @@ class GateFailureSampler:
             circuit.without(["measure", "barrier"]), self.calibration, include_readout=False
         )
         trouble_free = estimate.gate_success * estimate.coherence_success
+        # probabilities() skips non-unitary ops, so no measure-stripping copy.
         ideal = StatevectorSimulator(num_qubits_limit=self.max_active_qubits).probabilities(
-            reduced.without(["measure"]), compact_measured
+            reduced, compact_measured
         )
         outcomes = list(ideal)
         weights = np.array([ideal[o] for o in outcomes])

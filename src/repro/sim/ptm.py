@@ -129,8 +129,8 @@ def apply_ptm(
 ) -> np.ndarray:
     """Apply a ``4^k x 4^k`` PTM to the given qubits of a Pauli vector.
 
-    One real contraction via :func:`~repro.sim.statevector.apply_matrix`
-    over the ``2k`` base-2 wires backing the ``k`` base-4 digits.
+    One real :func:`~repro.sim.statevector.apply_matrix` call over the
+    ``2k`` base-2 wires backing the ``k`` base-4 digits.
     """
     k = len(qubits)
     if ptm.shape != (4**k, 4**k):

@@ -1,6 +1,9 @@
 """Tests for coupling maps, the paper's topologies and device calibrations."""
 
+import copy
 import math
+import pickle
+import random
 
 import pytest
 
@@ -54,6 +57,29 @@ class TestCouplingMap:
         cmap = CouplingMap(5, [(0, 1), (1, 2), (3, 4)])
         assert cmap.subgraph_is_connected([0, 1, 2])
         assert not cmap.subgraph_is_connected([0, 1, 3])
+
+    def test_pickles_without_its_routing_caches(self):
+        fresh_size = len(pickle.dumps(johannesburg()))
+        routed = johannesburg()
+        rng = random.Random(0)
+        for a, b in [(0, 19), (4, 15), (9, 10), (5, 14)]:
+            routed.shortest_path(a, b, weight={(0, 1): 2.0})
+            routed.sample_shortest_path(a, b, rng)
+        routed.distance_matrix()
+        assert len(pickle.dumps(routed)) == fresh_size
+
+        clone = pickle.loads(pickle.dumps(routed))
+        assert clone.edges == routed.edges and clone.name == routed.name
+        assert (clone.distance_matrix() == routed.distance_matrix()).all()
+        for a, b in [(0, 19), (4, 15), (3, 12)]:
+            assert clone.shortest_path(a, b) == routed.shortest_path(a, b)
+            assert clone.tied_path_count(a, b) == routed.tied_path_count(a, b)
+        assert list(clone.graph.adj.items()) == list(routed.graph.adj.items())
+
+    def test_deepcopy_is_the_map_itself(self):
+        cmap = johannesburg()
+        assert copy.deepcopy(cmap) is cmap
+        assert copy.deepcopy({"map": cmap})["map"] is cmap
 
 
 class TestPaperTopologies:

@@ -201,3 +201,40 @@ class TestSatelliteFixes:
     def test_counts_from_bit_array(self):
         bits = np.array([[0, 1], [0, 1], [1, 0]], dtype=np.int8)
         assert counts_from_bit_array(bits) == {"01": 2, "10": 1}
+
+
+class TestPinnedSeededCounts:
+    """Seeded counts on a wide routed Toffoli, recorded with the ``tensordot``
+    gate kernel: a kernel change must not move a single sampled outcome."""
+
+    @pytest.fixture(scope="class")
+    def routed_toffoli(self):
+        from repro.experiments.toffoli import compile_configuration
+        from repro.hardware import johannesburg
+
+        compiled = compile_configuration(
+            "Qiskit (baseline)", johannesburg(), {0: 0, 1: 9, 2: 15}, seed=1
+        )
+        circuit = compiled.circuit.without(["measure"])
+        assert len(circuit.active_qubits()) == 16
+        return circuit, compiled.physical_qubits_of([0, 1, 2])
+
+    def test_failure_sampler_counts(self, routed_toffoli, hardware_calibration):
+        circuit, measured = routed_toffoli
+        counts = GateFailureSampler(hardware_calibration, seed=0).run(
+            circuit, shots=2048, measured_qubits=measured
+        ).counts
+        assert counts == {
+            "000": 220, "001": 211, "010": 214, "011": 229,
+            "100": 226, "101": 258, "110": 238, "111": 452,
+        }
+
+    def test_trajectory_sampler_counts(self, routed_toffoli, hardware_calibration):
+        circuit, measured = routed_toffoli
+        counts = PauliTrajectorySampler(hardware_calibration, seed=0).run(
+            circuit, shots=64, measured_qubits=measured
+        ).counts
+        assert counts == {
+            "000": 5, "001": 2, "010": 8, "011": 4,
+            "100": 13, "101": 5, "110": 15, "111": 12,
+        }
