@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Hashable, Tuple
 
 import numpy as np
 
@@ -138,10 +139,28 @@ class Gate:
         raise GateError(f"no inverse rule for gate {self.name!r}")
 
     def is_identity(self, tol: float = IDENTITY_TOL) -> bool:
-        """Whether the gate is (numerically) the identity operation."""
+        """Whether the gate is (numerically) the identity operation.
+
+        The default-tolerance verdict is memoized process-wide under
+        :func:`exact_key`, the name plus the bit pattern of every parameter,
+        so the peephole passes and the linter build one matrix per distinct
+        gate instead of one per instruction.  The key is not ``Gate``
+        equality, which treats ``0.0`` and ``-0.0`` as equal although their
+        matrices can differ in the sign of a zero.  Other tolerances are
+        computed every time.
+        """
         if not self.is_unitary:
             return False
-        return identity_up_to_phase(self.matrix(), tol)
+        if tol != IDENTITY_TOL:
+            return identity_up_to_phase(self.matrix(), tol)
+        key = exact_key(self)
+        verdict = _IDENTITY_VERDICTS.get(key)
+        if verdict is None:
+            verdict = identity_up_to_phase(self.matrix(), tol)
+            if len(_IDENTITY_VERDICTS) >= _IDENTITY_VERDICT_LIMIT:
+                _IDENTITY_VERDICTS.clear()
+            _IDENTITY_VERDICTS[key] = verdict
+        return verdict
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.params:
@@ -152,6 +171,30 @@ class Gate:
 
 #: Interned read-only matrices of parameter-free gates, keyed by name.
 _MATRIX_CACHE: Dict[str, np.ndarray] = {}
+
+#: Default-tolerance :meth:`Gate.is_identity` verdicts by :func:`exact_key`,
+#: cleared when full (the Fig 9-11 sweep meets fewer than a hundred gates).
+_IDENTITY_VERDICTS: Dict[Hashable, bool] = {}
+_IDENTITY_VERDICT_LIMIT = 4096
+
+_PARAM_PACKERS = [struct.Struct(f"<{count}d").pack for count in range(4)]
+
+
+def exact_key(gate: Gate) -> Hashable:
+    """A bit-exact lookup key for ``gate``'s unitary: its name and param bits.
+
+    A parameter-free gate's key is its name; otherwise the key pairs the name
+    with the IEEE-754 bytes of every parameter.  Unlike ``Gate`` equality the
+    key keeps ``0.0`` and ``-0.0`` apart (and matches a NaN with itself),
+    because a gate's matrix, and everything synthesized from it, can differ
+    in the sign of a zero between the two.
+    """
+    params = gate.params
+    if not params:
+        return gate.name
+    count = len(params)
+    pack = _PARAM_PACKERS[count] if count < 4 else struct.Struct(f"<{count}d").pack
+    return (gate.name, pack(*params))
 
 
 def identity_up_to_phase(matrix: np.ndarray, tol: float) -> bool:

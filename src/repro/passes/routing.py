@@ -170,11 +170,26 @@ class LegalizationRouter(GreedySwapRouter):
     Used after a non-mapping-aware second decomposition (the "Trios (6-CNOT
     Toffoli)" ablation): any CNOT that the decomposition produced between
     non-coupled physical qubits gets the usual SWAP treatment.  For the real
-    Trios flow this pass inserts zero SWAPs, which the tests assert.
+    Trios flow this pass inserts zero SWAPs, which the tests assert; a DAG
+    that is already legal at device width comes back as the same object
+    rather than as a copy of every instruction.
     """
 
     establishes = ("routed",)
     invalidates = ("scheduled", "swaps_expanded")
+
+    def _is_legal(self, dag: DagCircuit) -> bool:
+        """Whether routing ``dag`` would copy it and insert no SWAP."""
+        if dag.num_qubits != self.coupling_map.num_qubits:
+            return False
+        are_adjacent = self.coupling_map.are_adjacent
+        for node in dag:
+            qubits = node.instruction.qubits
+            if len(qubits) == 1 or node.name == "barrier":
+                continue
+            if len(qubits) != 2 or not are_adjacent(*qubits):
+                return False
+        return True
 
     def run_dag(self, dag: DagCircuit, properties: PropertySet) -> DagCircuit:
         # The circuit is already expressed on physical wires; route with an
@@ -183,15 +198,22 @@ class LegalizationRouter(GreedySwapRouter):
         saved_layout = properties.get("layout")
         saved_initial = properties.get("initial_layout")
         saved_final = properties.get("final_layout")
-        properties["layout"] = Layout.trivial(self.coupling_map.num_qubits)
-        routed = super().run_dag(dag, properties)
-        wire_permutation: Layout = properties["final_layout"]
+        if self._is_legal(dag):
+            routed = dag
+            properties["swaps_inserted"] = properties.get("swaps_inserted", 0)
+            wire_permutation = Layout.trivial(self.coupling_map.num_qubits)
+        else:
+            properties["layout"] = Layout.trivial(self.coupling_map.num_qubits)
+            routed = super().run_dag(dag, properties)
+            wire_permutation = properties["final_layout"]
         if saved_final is not None:
             composed = {
                 logical: wire_permutation.physical(physical)
                 for logical, physical in saved_final.to_dict().items()
             }
             properties["final_layout"] = Layout(composed)
+        else:
+            properties["final_layout"] = wire_permutation
         # Restore (or remove) the keys the temporary trivial layout touched so
         # no full-device placeholder leaks into later passes.
         if saved_initial is not None:

@@ -1,18 +1,20 @@
 """Single-qubit unitary synthesis (ZYZ / u3 decomposition).
 
 Used by the one-qubit consolidation pass and by the basis decomposition pass to
-rewrite arbitrary single-qubit gates as the hardware's ``u3`` gate.
+rewrite arbitrary single-qubit gates as the hardware's ``u3`` gate.  The
+consolidation pass goes through :func:`word_to_u3`, which memoizes the
+synthesis of each distinct gate word.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.gate import Gate, identity_up_to_phase
+from ..circuits.gate import Gate, exact_key, identity_up_to_phase
 from ..exceptions import TranspilerError
 
 
@@ -72,3 +74,54 @@ IDENTITY_ATOL = 1e-10
 def matrix_is_identity(matrix: np.ndarray, atol: float = IDENTITY_ATOL) -> bool:
     """Whether a 2x2 unitary is the identity up to global phase."""
     return identity_up_to_phase(np.asarray(matrix, dtype=complex), atol)
+
+
+#: Read-only start of every word product in :func:`synthesize_word`.
+_IDENTITY_2X2 = np.eye(2, dtype=complex)
+_IDENTITY_2X2.setflags(write=False)
+
+
+def synthesize_word(gates: Sequence[Gate]) -> Optional[Gate]:
+    """The ``u3`` equal to a word of 1q gates up to phase; ``None`` if identity.
+
+    ``gates`` are in application order.  The product is left-multiplied
+    gate by gate from the shared identity, ``gate.matrix() @ acc``: the exact
+    float sequence every frozen compile was made with.
+    """
+    matrix = _IDENTITY_2X2
+    for gate in gates:
+        matrix = gate.matrix() @ matrix
+    if matrix_is_identity(matrix):
+        return None
+    return u3_from_matrix(matrix)
+
+
+#: :func:`synthesize_word` results keyed by the word's tuple of
+#: :func:`~repro.circuits.gate.exact_key` keys, cleared when full.  It holds
+#: immutable ``Gate`` values only, never instructions or DAG nodes, so nothing
+#: a caller does to a compiled circuit can reach a later lookup.
+_WORDS: Dict[Tuple[Hashable, ...], Optional[Gate]] = {}
+_WORD_LIMIT = 4096
+
+
+def word_to_u3(gates: Sequence[Gate]) -> Tuple[Optional[Gate], bool]:
+    """:func:`synthesize_word` through a process-wide lookup table.
+
+    Returns ``(gate, synthesized)``: ``synthesized`` is true when the word
+    missed the table and was multiplied and resynthesized by this call.  A
+    hit returns the very ``Gate`` the miss produced, so results are
+    bit-identical to calling :func:`synthesize_word` directly.  The key is
+    bit-exact, not ``Gate`` equality: ``[u3(0, 0, -pi), u1(pi), y]``
+    synthesizes to ``u3(pi, 2pi, 0)``, but with both zeros negated to
+    ``u3(pi, 1.2e-16, 0)``.
+    """
+    key = tuple(map(exact_key, gates))
+    try:
+        return _WORDS[key], False
+    except KeyError:
+        pass
+    result = synthesize_word(gates)
+    if len(_WORDS) >= _WORD_LIMIT:
+        _WORDS.clear()
+    _WORDS[key] = result
+    return result, True

@@ -274,5 +274,11 @@ class TestParallelTraceEquivalence:
         pool_names, pool_metrics = traced_sweep(jobs=2)
         assert pool_names == serial_names
         assert serial_names[("compiler.pass", "TriosRouter")] > 0
+        # Lookup-table misses depend on what each process compiled before
+        # (see Consolidate1qRunsPass), so they are bounded, not matched; a
+        # worker whose tables were warm reports none.
+        for metrics in (serial_metrics, pool_metrics):
+            misses = metrics.pop("passes.consolidate_1q.syntheses", {"count": 0})["count"]
+            assert 0 <= misses <= metrics["passes.consolidate_1q.runs_rewritten"]["count"]
         assert pool_metrics == serial_metrics
         assert serial_metrics["sim.estimator.calls"]["count"] > 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.circuits import QuantumCircuit
+from repro.circuits.dag import DagCircuit
 from repro.exceptions import LayoutError, RoutingError
 from repro.hardware import CouplingMap, line
 from repro.passes import (
@@ -246,6 +247,56 @@ class TestLegalizationRouter:
         routed = LegalizationRouter(line_map).run(circuit, properties)
         assert properties["swaps_inserted"] == 0
         assert routed.count_ops() == circuit.count_ops()
+
+    def test_legal_dag_comes_back_as_the_same_object(self, line_map, monkeypatch):
+        circuit = QuantumCircuit(20)
+        circuit.h(0).cx(3, 4).barrier(0, 5, 9).cx(5, 4).measure(4, 0)
+
+        def legalize(prior_final):
+            dag = DagCircuit.from_circuit(circuit)
+            properties = PropertySet()
+            properties["swaps_inserted"] = 2
+            if prior_final is not None:
+                properties["final_layout"] = prior_final
+            routed = LegalizationRouter(line_map).run(dag, properties)
+            return dag, routed, properties
+
+        def layouts(properties):
+            return {
+                key: properties[key].to_dict() if key in properties else None
+                for key in ("layout", "initial_layout", "final_layout")
+            }
+
+        for prior_final in (None, Layout({0: 7, 1: 3, 2: 4})):
+            dag, routed, fast = legalize(prior_final)
+            assert routed is dag
+            assert fast["swaps_inserted"] == 2
+            # The full path on the same input leaves the same property set.
+            with monkeypatch.context() as patched:
+                patched.setattr(LegalizationRouter, "_is_legal", lambda self, dag: False)
+                _, full_routed, full = legalize(prior_final)
+            assert full_routed is not dag
+            assert full_routed.instructions == routed.instructions
+            assert full["swaps_inserted"] == 2
+            assert layouts(fast) == layouts(full)
+
+    def test_six_cnot_trios_compile_still_legalizes(self, johannesburg_map):
+        # The fixed 6-CNOT decomposition needs a coupling triangle, which
+        # Johannesburg lacks, so legalization must insert SWAPs after it.
+        from repro.compiler import check_connectivity
+        from repro.experiments.toffoli import compile_configuration
+
+        placement = {0: 0, 1: 4, 2: 15}
+        six = compile_configuration(
+            "Trios (6-CNOT Toffoli)", johannesburg_map, placement, seed=1
+        )
+        eight = compile_configuration(
+            "Trios (8-CNOT Toffoli)", johannesburg_map, placement, seed=1
+        )
+        (span,) = [s for s in six.pass_spans if s.name == "LegalizationRouter"]
+        assert span.attrs["size_after"] > span.attrs["size_before"]
+        assert six.swaps_inserted > eight.swaps_inserted
+        assert check_connectivity(six.circuit, johannesburg_map) == []
 
     def test_fixes_illegal_cnots(self, line_map):
         circuit = QuantumCircuit(20)

@@ -109,6 +109,41 @@ class TestByteIdentityWithPreRefactorPipelines:
                     checked += 1
         assert checked == len(hashes)
 
+    @pytest.mark.parametrize("method", ["baseline", "trios"])
+    def test_corrupting_one_compile_does_not_leak_into_the_next(self, method):
+        # The peephole lookup tables hold immutable gate values only, never
+        # instructions or DAG nodes: corrupt every instruction and wire link
+        # of one compiled DAG in place, then compile the same cell again.
+        from repro.circuits.dag import DagCircuit
+        from repro.circuits.gate import Gate
+
+        frozen = json.loads(REFERENCE.read_text())
+        label, name = "ibmq-johannesburg", "grovers-9"
+        expected = frozen["hashes"][f"{label}|{name}|{method}"]
+
+        def compile_cell():
+            return transpile(
+                get_benchmark(name), PAPER_TOPOLOGIES[label](), method=method,
+                seed=frozen["seed"],
+            )
+
+        first = compile_cell()
+        assert sha(first.circuit) == expected
+        dag = DagCircuit.from_circuit(first.circuit)
+        stray = Gate("u3", 1, (0.1, 0.2, 0.3))
+        for node in dag:
+            instruction = node.instruction
+            qubits = instruction.qubits
+            if len(qubits) == 1:
+                object.__setattr__(instruction, "gate", stray)
+                object.__setattr__(instruction, "qubits", ((qubits[0] + 1) % dag.num_qubits,))
+            else:
+                object.__setattr__(instruction, "qubits", qubits[::-1])
+            for wire in node._wnext:
+                node._wnext[wire] = None
+        assert sha(first.circuit) != expected
+        assert sha(compile_cell().circuit) == expected
+
     def test_fixed_point_loop_converges_across_the_sweep(self):
         device = johannesburg()
         for name in ("grovers-9", "qft_adder-16", "cuccaro_adder-20"):
@@ -166,6 +201,77 @@ class TestCompilePathCost:
             clear_compile_cache()
         assert row.baseline_cnots > 0 and row.trios_cnots > 0
         assert calls == []
+
+    def test_recompile_does_no_peephole_matrix_work(self, monkeypatch):
+        # The 1q peephole passes look every gate word and identity verdict up
+        # in process-wide tables, so compiling a cell the process has compiled
+        # before builds no matrix and runs no ZYZ synthesis in them.
+        from repro import obs
+        from repro.circuits import gate as gate_module
+        from repro.circuits.gate import Gate
+        from repro.passes import synthesis
+
+        monkeypatch.setattr(synthesis, "_WORDS", {})
+        monkeypatch.setattr(gate_module, "_IDENTITY_VERDICTS", {})
+        calls = []
+        inside = []
+        for cls in (Consolidate1qRunsPass, RemoveIdentitiesPass):
+            def run_dag(self, dag, properties, _original=cls.run_dag):
+                inside.append(self)
+                try:
+                    return _original(self, dag, properties)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(cls, "run_dag", run_dag)
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                if inside:
+                    calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Gate, "matrix", counted("matrix", Gate.matrix))
+        monkeypatch.setattr(
+            synthesis, "zyz_angles", counted("zyz_angles", synthesis.zyz_angles)
+        )
+
+        def compile_twice():
+            results, counters = [], []
+            for _ in range(2):
+                obs.clear()
+                calls.clear()
+                results.append(
+                    {
+                        method: transpile(
+                            get_benchmark("grovers-9"), johannesburg(),
+                            method=method, seed=11,
+                        )
+                        for method in ("baseline", "trios")
+                    }
+                )
+                counters.append(
+                    (
+                        sorted(set(calls)), len(calls),
+                        obs.counter("passes.consolidate_1q.runs_rewritten").value,
+                        obs.counter("passes.consolidate_1q.syntheses").value,
+                    )
+                )
+            return results, counters
+
+        obs.enable()
+        try:
+            (first, second), (cold, warm) = compile_twice()
+        finally:
+            obs.disable()
+        for method in first:
+            assert sha(first[method].circuit) == sha(second[method].circuit)
+        names, count, rewritten, syntheses = cold
+        assert names == ["matrix", "zyz_angles"] and count > 0
+        assert rewritten > syntheses > 0
+        # The second compile: same runs rewritten, no table misses, no matrix.
+        assert warm == ([], 0, rewritten, 0)
 
 
 class TestTranspileApi:
